@@ -1,6 +1,7 @@
 #include "kmeans/kmeans.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -20,6 +21,13 @@ namespace {
 // the exact scan (including first-lowest-index tie-breaking).
 constexpr Real kPruneSlackUp = Real{1} + Real{1e-9};
 constexpr Real kPruneSlackDown = Real{1} - Real{1e-9};
+
+// The assignment step sums the objective over this many index-ordered
+// chunks of the kept points, then adds the chunk partials serially in
+// chunk order. The count is fixed, not the thread count, so the objective
+// (and through the convergence test, the iteration count) is bitwise
+// equal for every OMP_NUM_THREADS.
+constexpr Index kObjectiveChunks = 64;
 
 Real squared_distance(const grid::Vec3& a, const grid::Vec3& b,
                       const grid::UnitCell* cell) {
@@ -214,6 +222,8 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
   static obs::Counter& full_counter = obs::counter("kmeans.assign.full");
   static obs::Counter& skip_counter = obs::counter("kmeans.assign.skipped");
 
+  std::array<Real, kObjectiveChunks> objective_part{};
+
   const obs::Span lloyd_span("kmeans.lloyd");
   Real previous_objective = restored_objective;
   for (Index iter = start_iter; iter < options.max_iterations; ++iter) {
@@ -243,51 +253,57 @@ KMeansResult weighted_kmeans(const std::vector<grid::Vec3>& points,
 
     // Assignment step (paper: "the classification step ... can be locally
     // computed for each group of grid points").
-    Real objective = 0;
     long long full_scans = 0;
     long long skips = 0;
-#pragma omp parallel for schedule(static) \
-    reduction(+ : objective, full_scans, skips)
-    for (Index i = 0; i < nkept; ++i) {
-      const Index p = kept[static_cast<std::size_t>(i)];
-      const grid::Vec3& r = points[static_cast<std::size_t>(p)];
-      if (prune) {
-        const Index a = result.assignment[static_cast<std::size_t>(i)];
-        const Real drift = (a == move_arg) ? move2 : move1;
-        const Real bound = lb[static_cast<std::size_t>(i)] - drift;
-        if (bound > 0) {
-          const Real d2a = squared_distance(
-              r, result.centroids[static_cast<std::size_t>(a)], cell);
-          if (std::sqrt(d2a) * kPruneSlackUp < bound * kPruneSlackDown) {
-            // Every other center is strictly farther than the assigned
-            // one, so the full scan would reproduce assignment `a` and
-            // the identical objective term w * d2a.
-            lb[static_cast<std::size_t>(i)] = bound;
-            objective += weights[static_cast<std::size_t>(p)] * d2a;
-            ++skips;
-            continue;
+#pragma omp parallel for schedule(static) reduction(+ : full_scans, skips)
+    for (Index chunk = 0; chunk < kObjectiveChunks; ++chunk) {
+      Real part = 0;
+      const Index begin = chunk * nkept / kObjectiveChunks;
+      const Index end = (chunk + 1) * nkept / kObjectiveChunks;
+      for (Index i = begin; i < end; ++i) {
+        const Index p = kept[static_cast<std::size_t>(i)];
+        const grid::Vec3& r = points[static_cast<std::size_t>(p)];
+        if (prune) {
+          const Index a = result.assignment[static_cast<std::size_t>(i)];
+          const Real drift = (a == move_arg) ? move2 : move1;
+          const Real bound = lb[static_cast<std::size_t>(i)] - drift;
+          if (bound > 0) {
+            const Real d2a = squared_distance(
+                r, result.centroids[static_cast<std::size_t>(a)], cell);
+            if (std::sqrt(d2a) * kPruneSlackUp < bound * kPruneSlackDown) {
+              // Every other center is strictly farther than the assigned
+              // one, so the full scan would reproduce assignment `a` and
+              // the identical objective term w * d2a.
+              lb[static_cast<std::size_t>(i)] = bound;
+              part += weights[static_cast<std::size_t>(p)] * d2a;
+              ++skips;
+              continue;
+            }
           }
         }
-      }
-      Real best = std::numeric_limits<Real>::max();
-      Real second = std::numeric_limits<Real>::max();
-      Index best_c = 0;
-      for (Index c = 0; c < k; ++c) {
-        const Real d = squared_distance(
-            r, result.centroids[static_cast<std::size_t>(c)], cell);
-        if (d < best) {
-          second = best;
-          best = d;
-          best_c = c;
-        } else if (d < second) {
-          second = d;
+        Real best = std::numeric_limits<Real>::max();
+        Real second = std::numeric_limits<Real>::max();
+        Index best_c = 0;
+        for (Index c = 0; c < k; ++c) {
+          const Real d = squared_distance(
+              r, result.centroids[static_cast<std::size_t>(c)], cell);
+          if (d < best) {
+            second = best;
+            best = d;
+            best_c = c;
+          } else if (d < second) {
+            second = d;
+          }
         }
+        result.assignment[static_cast<std::size_t>(i)] = best_c;
+        part += weights[static_cast<std::size_t>(p)] * best;
+        ++full_scans;
+        if (prune) lb[static_cast<std::size_t>(i)] = std::sqrt(second);
       }
-      result.assignment[static_cast<std::size_t>(i)] = best_c;
-      objective += weights[static_cast<std::size_t>(p)] * best;
-      ++full_scans;
-      if (prune) lb[static_cast<std::size_t>(i)] = std::sqrt(second);
+      objective_part[static_cast<std::size_t>(chunk)] = part;
     }
+    Real objective = 0;
+    for (const Real part : objective_part) objective += part;
     result.objective = objective;
     full_counter.add(full_scans);
     skip_counter.add(skips);

@@ -67,6 +67,17 @@ void gemm_many(Trans ta, Trans tb, Real alpha,
                const std::vector<GemmBatchItem>& items, RealConstView b,
                Real beta);
 
+/// Column block width of trsm_right_lower.
+inline constexpr Index kTrsmBlock = 16;
+
+/// Right-side triangular solve in place: B := B op(L)⁻¹ for an n x n
+/// lower-triangular L (only its lower triangle is read) and an m x n B.
+/// Blocked over kTrsmBlock columns: each block's off-diagonal update is
+/// one gemm, and its diagonal block is solved row by row, rows split
+/// across OpenMP threads, so the result is independent of the thread
+/// count. Throws lrt::Error on a zero diagonal entry.
+void trsm_right_lower(Trans t, RealConstView l, RealView b);
+
 /// Gram matrix Aᵀ A (n x n for an m x n input); exploits symmetry.
 RealMatrix gram(RealConstView a);
 

@@ -228,11 +228,8 @@ EigResult sygv(RealConstView a, RealConstView b) {
   RealMatrix atilde = symmetrized_copy(a);
   // atilde := L⁻¹ atilde
   solve_lower_triangular(l.view(), atilde.view());
-  // atilde := atilde L⁻ᵀ, i.e. solve (L Xᵀ = atildeᵀ)ᵀ: transpose, solve,
-  // transpose back.
-  RealMatrix at = transpose<Real>(atilde.view());
-  solve_lower_triangular(l.view(), at.view());
-  atilde = transpose<Real>(at.view());
+  // atilde := atilde L⁻ᵀ
+  trsm_right_lower(Trans::kYes, l.view(), atilde.view());
 
   EigResult result = syev(atilde.view());
   // Back-transform eigenvectors: x = L⁻ᵀ y.

@@ -37,10 +37,11 @@ RealMatrix solve_gram_from_right(RealConstView b, RealConstView gram_matrix,
     for (Index i = 0; i < n; ++i) g(i, i) += shift;
     l = cholesky(g.view());
   }
-  // X G = B  =>  G Xᵀ = Bᵀ (G symmetric), solve and transpose back.
-  RealMatrix xt = transpose(b);
-  cholesky_solve(l.view(), xt.view());
-  return transpose<Real>(xt.view());
+  // X L Lᵀ = B: X := B L⁻ᵀ, then X := X L⁻¹, in place on row-major X.
+  RealMatrix x = to_matrix(b);
+  trsm_right_lower(Trans::kYes, l.view(), x.view());
+  trsm_right_lower(Trans::kNo, l.view(), x.view());
+  return x;
 }
 
 }  // namespace lrt::la

@@ -13,12 +13,8 @@ bool cholqr(RealView a) {
     ortho_qr(a);
     return false;
   }
-  // a := a L⁻ᵀ  (solve Lᵀ row-wise from the right: for each row r of a,
-  // solve L x = rᵀ? No — columns: a L⁻ᵀ means aᵀ := L⁻¹ aᵀ).
-  RealMatrix at = transpose<Real>(a);
-  solve_lower_triangular(l.view(), at.view());
-  const RealMatrix result = transpose<Real>(at.view());
-  copy(result.view(), a);
+  // a := a L⁻ᵀ
+  trsm_right_lower(Trans::kYes, l.view(), a);
   return true;
 }
 

@@ -6,7 +6,6 @@
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
 #include "la/eig.hpp"
-#include "la/qr.hpp"
 #include "obs/counters.hpp"
 #include "obs/obs.hpp"
 #include "par/distblas.hpp"
@@ -31,18 +30,11 @@ la::RealMatrix gram_cholesky(const la::RealMatrix& g) {
   return l;
 }
 
-/// a := a L⁻ᵀ (local rows; the triangular factor is replicated).
-void apply_inverse_factor(const la::RealMatrix& l, la::RealView a_local) {
-  la::RealMatrix at = la::transpose<Real>(a_local);
-  la::solve_lower_triangular(l.view(), at.view());
-  const la::RealMatrix back = la::transpose<Real>(at.view());
-  la::copy<Real>(back.view(), a_local);
-}
-
-/// One distributed CholQR pass (one Gram allreduce).
+/// One distributed CholQR pass (one Gram allreduce): a := a L⁻ᵀ on the
+/// local rows with the replicated factor.
 void cholqr_pass(Comm& comm, la::RealView a_local) {
   const la::RealMatrix g = dist_gram(comm, a_local);
-  apply_inverse_factor(gram_cholesky(g), a_local);
+  la::trsm_right_lower(la::Trans::kYes, gram_cholesky(g).view(), a_local);
 }
 
 /// Distributed CholQR²: orthonormalizes the global columns of a
@@ -225,7 +217,7 @@ la::LobpcgResult dist_lobpcg_ca(Comm& comm, const DistBlockOperator& apply_h,
     la::gemm(la::Trans::kYes, la::Trans::kNo, Real{1}, cproj.view(),
              gqq_c.view(), Real{1}, g2.view());
     symmetrize(g2.view());
-    apply_inverse_factor(gram_cholesky(g2), r.view());
+    la::trsm_right_lower(la::Trans::kYes, gram_cholesky(g2).view(), r.view());
 
     // Round 2: the operator reduces internally.
     la::RealMatrix hr(n_local, k);

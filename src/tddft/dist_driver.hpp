@@ -58,7 +58,7 @@ struct DistDriverStats {
   std::vector<Real> energies;   ///< replicated on every rank
   double wall_seconds = 0;      ///< max over ranks
   double comm_seconds = 0;      ///< max over ranks (blocked in comm calls)
-  double busy_seconds = 0;      ///< max over ranks of wall - comm
+  double busy_seconds = 0;      ///< max over ranks of thread CPU time
   /// Phase seconds (max over ranks): kmeans, fft, mpi, gemm, diag,
   /// pair_product.
   std::vector<std::pair<std::string, double>> phases;

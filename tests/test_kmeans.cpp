@@ -5,6 +5,10 @@
 #include <cmath>
 #include <set>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "kmeans/dist_kmeans.hpp"
 #include "kmeans/kmeans.hpp"
 #include "par/layout.hpp"
@@ -160,6 +164,42 @@ TEST(WeightedKmeans, InputValidation) {
   std::vector<Real> zeros(f.points.size(), 0.0);
   EXPECT_THROW(weighted_kmeans(f.points, zeros, 2, {}), Error);
 }
+
+#ifdef _OPENMP
+TEST(WeightedKmeans, BitwiseEqualAtOneToFourThreads) {
+  // The objective is summed over a fixed number of index-ordered chunks,
+  // so neither it nor the convergence test it drives may depend on the
+  // OpenMP team size.
+  BlobFixture f;
+  const int saved = omp_get_max_threads();
+  for (const bool pruned : {false, true}) {
+    KMeansOptions opts;
+    opts.seed = 11;
+    opts.max_iterations = 30;
+    opts.pruned_assignment = pruned;
+    std::vector<KMeansResult> runs;
+    for (const int threads : {1, 2, 3, 4}) {
+      omp_set_num_threads(threads);
+      runs.push_back(weighted_kmeans(f.points, f.weights, 5, opts));
+    }
+    omp_set_num_threads(saved);
+    for (std::size_t r = 1; r < runs.size(); ++r) {
+      SCOPED_TRACE(testing::Message() << "pruned=" << pruned << " threads="
+                                      << r + 1 << " vs 1");
+      EXPECT_EQ(runs[r].objective, runs[0].objective);
+      EXPECT_EQ(runs[r].iterations, runs[0].iterations);
+      ASSERT_EQ(runs[r].centroids.size(), runs[0].centroids.size());
+      for (std::size_t c = 0; c < runs[0].centroids.size(); ++c) {
+        for (std::size_t d = 0; d < 3; ++d) {
+          EXPECT_EQ(runs[r].centroids[c][d], runs[0].centroids[c][d]);
+        }
+      }
+      EXPECT_EQ(runs[r].assignment, runs[0].assignment);
+      EXPECT_EQ(runs[r].interpolation_points, runs[0].interpolation_points);
+    }
+  }
+}
+#endif
 
 TEST(PairWeights, MatchesDefinition) {
   // w(r) = Σ_i ψ² · Σ_j φ² per row.

@@ -2,11 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
 #include "la/lstsq.hpp"
 #include "la/lu.hpp"
+#include "la/qr.hpp"
 
 namespace lrt::la {
 namespace {
@@ -121,6 +128,198 @@ TEST(Lstsq, SolveGramSurvivesRankDeficiency) {
   EXPECT_NEAR(back(0, 0), 2.0, 1e-5);
   EXPECT_NEAR(back(0, 1), 2.0, 1e-5);
 }
+
+// ----- right-side triangular solve ------------------------------------------
+
+/// Lower-triangular factor of a well-conditioned SPD matrix.
+RealMatrix random_lower(Index n, Rng& rng) {
+  return cholesky(random_spd(n, rng).view());
+}
+
+/// The transpose-based solve trsm_right_lower replaced, kept here as the
+/// oracle: B op(L)⁻¹ = (op(L)⁻ᵀ Bᵀ)ᵀ, solved column-wise on Bᵀ.
+RealMatrix transposed_trsm_oracle(Trans t, RealConstView l, RealConstView b) {
+  RealMatrix bt = transpose(b);
+  if (t == Trans::kYes) {
+    solve_lower_triangular(l, bt.view());
+  } else {
+    solve_lower_transposed(l, bt.view());
+  }
+  return transpose<Real>(bt.view());
+}
+
+/// The transpose + cholesky_solve form of solve_gram_from_right,
+/// including its ridge fallback, kept here as the oracle.
+RealMatrix transposed_gram_oracle(RealConstView b, RealConstView gram_matrix,
+                                  Real ridge = 1e-12) {
+  const Index n = gram_matrix.rows();
+  RealMatrix g = to_matrix(gram_matrix);
+  RealMatrix l;
+  if (!try_cholesky(g.view(), l)) {
+    Real trace = 0.0;
+    for (Index i = 0; i < n; ++i) trace += g(i, i);
+    const Real shift = ridge * (trace > Real{0} ? trace / Real(n) : Real{1});
+    for (Index i = 0; i < n; ++i) g(i, i) += shift;
+    l = cholesky(g.view());
+  }
+  RealMatrix xt = transpose(b);
+  cholesky_solve(l.view(), xt.view());
+  return transpose<Real>(xt.view());
+}
+
+/// max |x - ref| / max |ref| (0 when both are empty or zero).
+Real relative_diff(RealConstView x, RealConstView ref) {
+  const Real scale = max_abs(ref);
+  const Real diff = max_abs_diff(x, ref);
+  return scale > Real{0} ? diff / scale : diff;
+}
+
+void expect_bitwise_equal(RealConstView a, RealConstView b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (Index i = 0; i < a.rows(); ++i) {
+    for (Index j = 0; j < a.cols(); ++j) {
+      ASSERT_EQ(a(i, j), b(i, j)) << "at (" << i << "," << j << ")";
+    }
+  }
+}
+
+TEST(TrsmRightLower, MatchesTransposedOracleAcrossBlockBoundaries) {
+  Rng rng(11);
+  for (const Index n : {Index{1}, kTrsmBlock - 1, kTrsmBlock, kTrsmBlock + 1,
+                        Index{288}}) {
+    const RealMatrix l = random_lower(n, rng);
+    for (const Index m : {Index{0}, Index{1}, Index{1000}}) {
+      const RealMatrix b = RealMatrix::random_normal(m, n, rng);
+      for (const Trans t : {Trans::kYes, Trans::kNo}) {
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << n << " m=" << m
+                     << " op=" << (t == Trans::kYes ? "Lt" : "L"));
+        RealMatrix x = b;
+        trsm_right_lower(t, l.view(), x.view());
+        const RealMatrix ref = transposed_trsm_oracle(t, l.view(), b.view());
+        EXPECT_LE(relative_diff(x.view(), ref.view()), 1e-12);
+        // And it solves the system: X op(L) = B.
+        const RealMatrix back = gemm(Trans::kNo, t, x.view(), l.view());
+        EXPECT_LE(relative_diff(back.view(), b.view()), 1e-12);
+      }
+    }
+  }
+}
+
+TEST(TrsmRightLower, StridedViewsReadOnlyTheLowerTriangle) {
+  // L and B are windows into wider matrices (ld > cols). L's strict upper
+  // triangle and the padding around both windows hold NaN: a read of any
+  // of them would poison the result, a write outside B would show up.
+  Rng rng(12);
+  const Index n = 2 * kTrsmBlock + 5;
+  const Index m = 37;
+  const Real nan = std::numeric_limits<Real>::quiet_NaN();
+  const RealMatrix l = random_lower(n, rng);
+  const RealMatrix b = RealMatrix::random_normal(m, n, rng);
+  for (const Trans t : {Trans::kYes, Trans::kNo}) {
+    RealMatrix l_store(n + 3, n + 7);
+    l_store.fill(nan);
+    RealView l_view = l_store.view().block(2, 3, n, n);
+    for (Index i = 0; i < n; ++i) {
+      for (Index j = 0; j <= i; ++j) l_view(i, j) = l(i, j);
+    }
+    RealMatrix b_store(m + 2, n + 9);
+    b_store.fill(nan);
+    RealView b_view = b_store.view().block(1, 4, m, n);
+    copy<Real>(b.view(), b_view);
+
+    trsm_right_lower(t, l_view, b_view);
+
+    const RealMatrix ref = transposed_trsm_oracle(t, l.view(), b.view());
+    EXPECT_LE(relative_diff(b_view, ref.view()), 1e-12);
+    for (Index i = 0; i < b_store.rows(); ++i) {
+      for (Index j = 0; j < b_store.cols(); ++j) {
+        const bool inside = i >= 1 && i < 1 + m && j >= 4 && j < 4 + n;
+        if (!inside) {
+          EXPECT_TRUE(std::isnan(b_store(i, j)));
+        }
+      }
+    }
+  }
+}
+
+TEST(TrsmRightLower, RejectsSingularFactorAndBadShapes) {
+  Rng rng(13);
+  const Index n = kTrsmBlock + 3;
+  RealMatrix l = random_lower(n, rng);
+  RealMatrix b = RealMatrix::random_normal(4, n, rng);
+  RealMatrix narrow = RealMatrix::random_normal(4, n - 1, rng);
+  EXPECT_THROW(trsm_right_lower(Trans::kYes, l.view(), narrow.view()), Error);
+  l(n - 2, n - 2) = 0.0;
+  EXPECT_THROW(trsm_right_lower(Trans::kYes, l.view(), b.view()), Error);
+  EXPECT_THROW(trsm_right_lower(Trans::kNo, l.view(), b.view()), Error);
+}
+
+TEST(Lstsq, SolveGramFromRightMatchesTransposedOracle) {
+  // ISDF shape: Θ (Nr x Nμ) from Z Cᵀ and C Cᵀ, Nμ spanning many blocks.
+  Rng rng(14);
+  const Index nmu = 288;
+  const Index nr = 1000;
+  const RealMatrix c = RealMatrix::random_normal(nmu, 2 * nmu, rng);
+  const RealMatrix cct = gemm(Trans::kNo, Trans::kYes, c.view(), c.view());
+  const RealMatrix b = RealMatrix::random_normal(nr, nmu, rng);
+  const RealMatrix x = solve_gram_from_right(b.view(), cct.view());
+  const RealMatrix ref = transposed_gram_oracle(b.view(), cct.view());
+  EXPECT_LE(relative_diff(x.view(), ref.view()), 1e-12);
+  const RealMatrix back = gemm(Trans::kNo, Trans::kNo, x.view(), cct.view());
+  EXPECT_LE(relative_diff(back.view(), b.view()), 1e-10);
+}
+
+TEST(Lstsq, SolveGramRidgeFallbackBeyondOneBlock) {
+  // A Gram matrix with an all-zero row/column past the first block: the
+  // Cholesky pivot there is exactly zero, so the ridge path must run.
+  Rng rng(15);
+  const Index n = 3 * kTrsmBlock + 2;
+  const Index dead = 2 * kTrsmBlock + 1;
+  RealMatrix cct = random_spd(n, rng);
+  for (Index i = 0; i < n; ++i) {
+    cct(i, dead) = 0.0;
+    cct(dead, i) = 0.0;
+  }
+  RealMatrix unused;
+  ASSERT_FALSE(try_cholesky(cct.view(), unused));
+
+  const RealMatrix x_true = RealMatrix::random_normal(50, n, rng);
+  const RealMatrix b =
+      gemm(Trans::kNo, Trans::kNo, x_true.view(), cct.view());
+  const RealMatrix x = solve_gram_from_right(b.view(), cct.view());
+  const RealMatrix ref = transposed_gram_oracle(b.view(), cct.view());
+  EXPECT_LE(relative_diff(x.view(), ref.view()), 1e-12);
+  const RealMatrix back = gemm(Trans::kNo, Trans::kNo, x.view(), cct.view());
+  EXPECT_LE(relative_diff(back.view(), b.view()), 1e-10);
+}
+
+#ifdef _OPENMP
+TEST(TrsmRightLower, BitwiseEqualAtOneAndFourThreads) {
+  Rng rng(16);
+  const Index n = 288;
+  const RealMatrix l = random_lower(n, rng);
+  const RealMatrix b = RealMatrix::random_normal(1000, n, rng);
+  const RealMatrix gram_matrix = random_spd(n, rng);
+  const int saved = omp_get_max_threads();
+  std::vector<RealMatrix> trsm_out;
+  std::vector<RealMatrix> gram_out;
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    for (const Trans t : {Trans::kYes, Trans::kNo}) {
+      RealMatrix x = b;
+      trsm_right_lower(t, l.view(), x.view());
+      trsm_out.push_back(x);
+    }
+    gram_out.push_back(solve_gram_from_right(b.view(), gram_matrix.view()));
+  }
+  omp_set_num_threads(saved);
+  expect_bitwise_equal(trsm_out[0].view(), trsm_out[2].view());
+  expect_bitwise_equal(trsm_out[1].view(), trsm_out[3].view());
+  expect_bitwise_equal(gram_out[0].view(), gram_out[1].view());
+}
+#endif
 
 }  // namespace
 }  // namespace lrt::la
