@@ -1,6 +1,7 @@
 // Hot-kernel micro substrates: packed GEMM, batched 3-D FFT, pruned
-// K-Means — seconds, GFLOP/s, and bytes/point per kernel, emitted as
-// BENCH_micro.json (schema lrt.bench/1).
+// K-Means, dense symmetric eigensolver — seconds, GFLOP/s, and
+// bytes/point per kernel, emitted as BENCH_micro.json (schema
+// lrt.bench/1).
 //
 // Flags:
 //   --compare   also time the pre-PR baselines (gemm_reference, the old
@@ -8,7 +9,8 @@
 //               report speedup_vs_ref on each new-path record — this is
 //               the committed evidence for the PR-4 acceptance numbers;
 //   --smoke     tiny sizes for the CI bench-smoke stage (seconds total);
-//   --reps N    best-of-N timing (default 3, smoke 2).
+//   --reps N    best-of-N timing (default 3, smoke 2); the eigensolver
+//               records report the median of N instead.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -28,6 +30,7 @@
 #include "fft/fft3d.hpp"
 #include "kmeans/kmeans.hpp"
 #include "la/blas.hpp"
+#include "la/eig.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/counters.hpp"
 
@@ -56,6 +59,18 @@ double best_of(int reps, F&& body) {
     best = std::min(best, timer.seconds());
   }
   return best;
+}
+
+template <typename F>
+double median_of(int reps, F&& body) {
+  std::vector<double> seconds;
+  for (int r = 0; r < reps; ++r) {
+    Timer timer;
+    body();
+    seconds.push_back(timer.seconds());
+  }
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[seconds.size() / 2];
 }
 
 // ----- GEMM ----------------------------------------------------------------
@@ -371,6 +386,42 @@ int bench_kmeans(const Options& opt, Table& table, obs::BenchReport& report) {
   return 0;
 }
 
+// ----- Dense symmetric eigensolver ----------------------------------------
+
+// la::syev (tred2 + tql2 with eigenvectors) on a random symmetric matrix.
+// 512 is the Ncv of the si27 naive-Casida benchmark workload.
+void bench_syev(const Options& opt, Table& table, obs::BenchReport& report) {
+  std::vector<Index> sizes = {128};
+  if (!opt.smoke) sizes.push_back(512);
+  const int reps = opt.reps > 0 ? opt.reps : (opt.smoke ? 2 : 3);
+  set_threads(1);
+
+  for (const Index n : sizes) {
+    Rng rng(static_cast<unsigned>(n));
+    la::RealMatrix a = la::RealMatrix::random_normal(n, n, rng);
+    for (Index i = 0; i < n; ++i) {
+      for (Index j = 0; j < i; ++j) a(j, i) = a(i, j);
+    }
+    la::EigResult result;
+    const double sec = median_of(reps, [&] { result = la::syev(a.view()); });
+
+    const std::string label = "la.syev." + std::to_string(n);
+    table.row()
+        .cell(label)
+        .cell(Index{1})
+        .cell(sec, 5)
+        .cell("-")
+        .cell("-")
+        .cell("-");
+    report.record(label)
+        .param("kernel", "syev")
+        .param("path", "new")
+        .param("n", static_cast<long long>(n))
+        .param("threads", 1LL)
+        .metric("seconds_median", sec);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -393,7 +444,7 @@ int main(int argc, char** argv) {
   report.meta("mode", opt.smoke ? "smoke" : "full");
   report.meta("compare", opt.compare ? "true" : "false");
 
-  Table table("micro substrates (best-of-reps)",
+  Table table("micro substrates (best-of-reps; la.syev median-of-reps)",
               {"kernel", "threads", "seconds", "GFLOP/s", "bytes/pt",
                "speedup"});
   bench_gemm(opt, table, report);
@@ -401,6 +452,7 @@ int main(int argc, char** argv) {
   // K-Means always compares (the exact path is its reference by
   // definition) and doubles as an exactness assertion.
   if (bench_kmeans(opt, table, report) != 0) return 1;
+  bench_syev(opt, table, report);
 
   table.print();
   if (report.write()) {

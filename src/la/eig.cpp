@@ -11,14 +11,25 @@
 namespace lrt::la {
 namespace {
 
+// Both routines below work on W = Vᵀ, the transpose of the EISPACK
+// working matrix: every V(r, c) of the Algol procedures is read as
+// W(c, r). Each eigenvector is then a contiguous row of W, so the
+// O(n³) inner loops (the Householder update and accumulation in tred2,
+// the Givens rotation of two eigenvectors in tql2) are unit-stride row
+// sweeps instead of column walks. Loop order and operation order are
+// those of the Algol procedures, so the results are bitwise identical
+// to the textbook row-major port (tests/test_la_eig.cpp keeps it as an
+// oracle).
+
 // Householder reduction of a real symmetric matrix to tridiagonal form
 // with accumulated transformations. Ported from the Algol tred2 procedure
 // (Bowdler, Martin, Reinsch, Wilkinson; Handbook for Automatic Computation)
-// in its widely used C translation. On exit `v` holds the accumulated
-// orthogonal matrix, `d` the diagonal and `e` the subdiagonal (e[0] = 0).
-void tred2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
-  const Index n = v.rows();
-  for (Index j = 0; j < n; ++j) d[j] = v(n - 1, j);
+// in its widely used C translation. On entry `w` holds the symmetric
+// matrix; on exit it holds the transpose of the accumulated orthogonal
+// matrix, `d` the diagonal and `e` the subdiagonal (e[0] = 0).
+void tred2(RealMatrix& w, std::vector<Real>& d, std::vector<Real>& e) {
+  const Index n = w.rows();
+  for (Index j = 0; j < n; ++j) d[j] = w(j, n - 1);
 
   for (Index i = n - 1; i > 0; --i) {
     Real scale = 0.0;
@@ -27,9 +38,9 @@ void tred2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
     if (scale == 0.0) {
       e[i] = d[i - 1];
       for (Index j = 0; j < i; ++j) {
-        d[j] = v(i - 1, j);
-        v(i, j) = 0.0;
-        v(j, i) = 0.0;
+        d[j] = w(j, i - 1);
+        w(j, i) = 0.0;
+        w(i, j) = 0.0;
       }
     } else {
       for (Index k = 0; k < i; ++k) {
@@ -45,12 +56,13 @@ void tred2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
       for (Index j = 0; j < i; ++j) e[j] = 0.0;
 
       for (Index j = 0; j < i; ++j) {
+        const Real* wj = w.row_ptr(j);
         f = d[j];
-        v(j, i) = f;
-        g = e[j] + v(j, j) * f;
+        w(i, j) = f;
+        g = e[j] + wj[j] * f;
         for (Index k = j + 1; k <= i - 1; ++k) {
-          g += v(k, j) * d[k];
-          e[k] += v(k, j) * f;
+          g += wj[k] * d[k];
+          e[k] += wj[k] * f;
         }
         e[j] = g;
       }
@@ -62,13 +74,14 @@ void tred2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
       const Real hh = f / (h + h);
       for (Index j = 0; j < i; ++j) e[j] -= hh * d[j];
       for (Index j = 0; j < i; ++j) {
+        Real* wj = w.row_ptr(j);
         f = d[j];
         g = e[j];
         for (Index k = j; k <= i - 1; ++k) {
-          v(k, j) -= (f * e[k] + g * d[k]);
+          wj[k] -= (f * e[k] + g * d[k]);
         }
-        d[j] = v(i - 1, j);
-        v(i, j) = 0.0;
+        d[j] = wj[i - 1];
+        wj[i] = 0.0;
       }
     }
     d[i] = h;
@@ -76,31 +89,33 @@ void tred2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
 
   // Accumulate transformations.
   for (Index i = 0; i < n - 1; ++i) {
-    v(n - 1, i) = v(i, i);
-    v(i, i) = 1.0;
+    w(i, n - 1) = w(i, i);
+    w(i, i) = 1.0;
+    Real* wi1 = w.row_ptr(i + 1);
     const Real h = d[i + 1];
     if (h != 0.0) {
-      for (Index k = 0; k <= i; ++k) d[k] = v(k, i + 1) / h;
+      for (Index k = 0; k <= i; ++k) d[k] = wi1[k] / h;
       for (Index j = 0; j <= i; ++j) {
+        Real* wj = w.row_ptr(j);
         Real g = 0.0;
-        for (Index k = 0; k <= i; ++k) g += v(k, i + 1) * v(k, j);
-        for (Index k = 0; k <= i; ++k) v(k, j) -= g * d[k];
+        for (Index k = 0; k <= i; ++k) g += wi1[k] * wj[k];
+        for (Index k = 0; k <= i; ++k) wj[k] -= g * d[k];
       }
     }
-    for (Index k = 0; k <= i; ++k) v(k, i + 1) = 0.0;
+    for (Index k = 0; k <= i; ++k) wi1[k] = 0.0;
   }
   for (Index j = 0; j < n; ++j) {
-    d[j] = v(n - 1, j);
-    v(n - 1, j) = 0.0;
+    d[j] = w(j, n - 1);
+    w(j, n - 1) = 0.0;
   }
-  v(n - 1, n - 1) = 1.0;
+  w(n - 1, n - 1) = 1.0;
   e[0] = 0.0;
 }
 
 // Implicit-shift QL iteration on the tridiagonal (d, e) with eigenvector
-// accumulation into v. Ported from the Algol tql2 procedure.
-void tql2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
-  const Index n = v.rows();
+// accumulation into the rows of w. Ported from the Algol tql2 procedure.
+void tql2(RealMatrix& w, std::vector<Real>& d, std::vector<Real>& e) {
+  const Index n = w.rows();
   for (Index i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
 
@@ -152,10 +167,12 @@ void tql2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
           c = p / r;
           p = c * d[i] - s * g;
           d[i + 1] = h + s * (c * g + s * d[i]);
+          Real* wi = w.row_ptr(i);
+          Real* wi1 = w.row_ptr(i + 1);
           for (Index k = 0; k < n; ++k) {
-            h = v(k, i + 1);
-            v(k, i + 1) = s * v(k, i) + c * h;
-            v(k, i) = c * v(k, i) - s * h;
+            h = wi1[k];
+            wi1[k] = s * wi[k] + c * h;
+            wi[k] = c * wi[k] - s * h;
           }
         }
         p = -s * s2 * c3 * el1 * e[l] / dl1;
@@ -167,7 +184,7 @@ void tql2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
     e[l] = 0.0;
   }
 
-  // Sort eigenvalues ascending, permuting eigenvector columns alongside.
+  // Sort eigenvalues ascending, permuting eigenvectors (rows) alongside.
   for (Index i = 0; i < n - 1; ++i) {
     Index k = i;
     Real p = d[i];
@@ -180,8 +197,16 @@ void tql2(RealMatrix& v, std::vector<Real>& d, std::vector<Real>& e) {
     if (k != i) {
       d[k] = d[i];
       d[i] = p;
-      for (Index j = 0; j < n; ++j) std::swap(v(j, i), v(j, k));
+      std::swap_ranges(w.row_ptr(i), w.row_ptr(i) + n, w.row_ptr(k));
     }
+  }
+}
+
+// In-place transpose of a square matrix.
+void transpose_in_place(RealMatrix& w) {
+  const Index n = w.rows();
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = i + 1; j < n; ++j) std::swap(w(i, j), w(j, i));
   }
 }
 
@@ -211,13 +236,14 @@ EigResult syev(RealConstView a) {
     result.vectors(0, 0) = 1.0;
     return result;
   }
+  // The symmetrized copy is its own transpose, so it is already the
+  // working matrix W = Vᵀ; one transpose at the end returns V.
   std::vector<Real> e(static_cast<std::size_t>(n), Real{0});
   tred2(result.vectors, result.values, e);
   tql2(result.vectors, result.values, e);
+  transpose_in_place(result.vectors);
   return result;
 }
-
-std::vector<Real> syev_values(RealConstView a) { return syev(a).values; }
 
 EigResult sygv(RealConstView a, RealConstView b) {
   LRT_CHECK(a.rows() == a.cols() && b.rows() == b.cols() &&

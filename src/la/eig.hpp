@@ -7,6 +7,13 @@
 //
 // Eigenvalues are returned in ascending order; eigenvectors are the
 // *columns* of `vectors`, matching x_k = vectors(:, k).
+//
+// Working layout: tred2/tql2 run on the transpose of the EISPACK working
+// matrix, so each eigenvector being built is a contiguous row and every
+// O(n³) inner loop is a unit-stride sweep. One in-place transpose at the
+// end restores the column convention. Only the layout differs from the
+// textbook port: the arithmetic and its order are the same, so results
+// are bitwise identical to it (see docs/PERFORMANCE.md §7).
 #pragma once
 
 #include <vector>
@@ -23,9 +30,6 @@ struct EigResult {
 /// Full eigendecomposition of a symmetric matrix (symmetry is assumed; only
 /// the lower triangle needs to be meaningful after symmetrization upstream).
 EigResult syev(RealConstView a);
-
-/// Eigenvalues only (same algorithm, no accumulation).
-std::vector<Real> syev_values(RealConstView a);
 
 /// Generalized problem A x = λ B x with SPD B, via Cholesky reduction.
 EigResult sygv(RealConstView a, RealConstView b);

@@ -19,8 +19,10 @@ struct DistEigResult {
 };
 
 enum class DistEigMethod {
-  /// Redistribute to 2-D block-cyclic, gather, factor on rank 0 (fast
-  /// serially, Amdahl-limited).
+  /// Redistribute to 2-D block-cyclic, gather, factor on rank 0 with
+  /// la::syev. Its O(n³) factorization is serial: on the si27 naive
+  /// benchmark (n = 512, 4 ranks) it is about 0.23 s of a 0.39 s solve
+  /// while the other ranks wait (docs/PERFORMANCE.md §7).
   kGathered,
   /// Fully distributed one-sided Jacobi (par/jacobi_eig) — no serial
   /// bottleneck, more flops.

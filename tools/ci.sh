@@ -20,8 +20,15 @@
 #               transparently with zero result or traffic divergence
 #               (docs/RESILIENCE.md). Also repeated under ASan+UBSan in
 #               that flavor's tree when it exists.
+#   threads     the bit-identity suites (checkpoint resume, pruned vs
+#               exact kernels, communication-avoiding collectives,
+#               K-Means, the eigensolver oracle) at OMP_NUM_THREADS 1, 3
+#               and 4, each under ctest --repeat until-fail:20, so a
+#               result that depends on the OpenMP team size or on thread
+#               scheduling fails here. Shares the plain flavor's tree.
 #
-# Usage: tools/ci.sh [plain|asan|tsan|lint|bench|fault]...   (default: all)
+# Usage: tools/ci.sh [plain|asan|tsan|lint|bench|fault|threads]...
+#        (default: all)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -43,9 +50,13 @@ run_flavor() {
 # call sequence fails loudly instead of hanging.
 fault_spec="seed=2026,fail=0.002,delay=0.002,delay_us=20"
 
-do_lint=0 do_plain=0 do_asan=0 do_tsan=0 do_bench=0 do_fault=0
+# Suites whose assertions are bitwise (EXPECT_EQ on doubles), run by
+# the threads flavor.
+bit_identity_suites='^(test_ft_restart|test_perf_kernels|test_comm_avoiding|test_kmeans|test_la_eig)\.'
+
+do_lint=0 do_plain=0 do_asan=0 do_tsan=0 do_bench=0 do_fault=0 do_threads=0
 if [ "$#" -eq 0 ]; then
-  do_lint=1 do_plain=1 do_asan=1 do_tsan=1 do_bench=1 do_fault=1
+  do_lint=1 do_plain=1 do_asan=1 do_tsan=1 do_bench=1 do_fault=1 do_threads=1
 else
   for arg in "$@"; do
     case "$arg" in
@@ -55,6 +66,7 @@ else
       tsan) do_tsan=1 ;;
       bench) do_bench=1 ;;
       fault) do_fault=1 ;;
+      threads) do_threads=1 ;;
       *) echo "unknown flavor: $arg" >&2; exit 2 ;;
     esac
   done
@@ -143,6 +155,19 @@ if [ "$do_fault" -eq 1 ]; then
   echo "=== [fault] ctest with LRT_FAULT + LRT_CHECK=1 ==="
   LRT_FAULT="$fault_spec" LRT_CHECK=1 LRT_CHECK_STALL_SECONDS=120 \
     ctest --test-dir build-ci --output-on-failure -j "$jobs"
+fi
+
+if [ "$do_threads" -eq 1 ]; then
+  # Shares the plain flavor's tree, like the fault flavor.
+  echo "=== [threads] configure + build (build-ci) ==="
+  cmake -B build-ci -S . -DLRT_WERROR=ON
+  cmake --build build-ci -j "$jobs"
+  for threads in 1 3 4; do
+    echo "=== [threads] bit-identity suites, OMP_NUM_THREADS=$threads x20 ==="
+    OMP_NUM_THREADS="$threads" \
+      ctest --test-dir build-ci -R "$bit_identity_suites" \
+        --repeat until-fail:20 --output-on-failure -j "$jobs"
+  done
 fi
 
 if [ "$do_asan" -eq 1 ]; then
