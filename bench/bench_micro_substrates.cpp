@@ -1,7 +1,7 @@
 // Hot-kernel micro substrates: packed GEMM, batched 3-D FFT, pruned
-// K-Means, dense symmetric eigensolver — seconds, GFLOP/s, and
-// bytes/point per kernel, emitted as BENCH_micro.json (schema
-// lrt.bench/1).
+// K-Means, dense symmetric eigensolver (serial and across ranks) —
+// seconds, GFLOP/s, and bytes/point per kernel, emitted as
+// BENCH_micro.json (schema lrt.bench/1).
 //
 // Flags:
 //   --compare   also time the pre-PR baselines (gemm_reference, the old
@@ -33,6 +33,8 @@
 #include "la/eig.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/counters.hpp"
+#include "par/disteig.hpp"
+#include "par/runtime.hpp"
 
 using namespace lrt;
 
@@ -422,6 +424,51 @@ void bench_syev(const Options& opt, Table& table, obs::BenchReport& report) {
   }
 }
 
+// par::dist_syev (its default path) on the same input at 1, 2 and 4
+// ranks: the tred2 accumulation and the tql2 rotations split across ranks,
+// bitwise equal to la::syev. Each rep spawns the rank threads.
+void bench_dist_syev(const Options& opt, Table& table,
+                     obs::BenchReport& report) {
+  std::vector<Index> sizes = {128};
+  if (!opt.smoke) sizes.push_back(512);
+  const int reps = opt.reps > 0 ? opt.reps : (opt.smoke ? 2 : 3);
+  set_threads(1);
+
+  for (const Index n : sizes) {
+    Rng rng(static_cast<unsigned>(n));
+    la::RealMatrix a = la::RealMatrix::random_normal(n, n, rng);
+    for (Index i = 0; i < n; ++i) {
+      for (Index j = 0; j < i; ++j) a(j, i) = a(i, j);
+    }
+    for (const int p : {1, 2, 4}) {
+      const double sec = median_of(reps, [&] {
+        par::run(p, [&](par::Comm& comm) {
+          par::DistMatrix dist(par::Layout::block_row(n, n, p), comm.rank());
+          dist.fill_global([&a](Index i, Index j) { return a(i, j); });
+          par::dist_syev(comm, dist);
+        });
+      });
+
+      const std::string label =
+          "par.dist_syev." + std::to_string(n) + ".p" + std::to_string(p);
+      table.row()
+          .cell(label)
+          .cell(Index{1})
+          .cell(sec, 5)
+          .cell("-")
+          .cell("-")
+          .cell("-");
+      report.record(label)
+          .param("kernel", "dist_syev")
+          .param("path", "new")
+          .param("n", static_cast<long long>(n))
+          .param("ranks", static_cast<long long>(p))
+          .param("threads", 1LL)
+          .metric("seconds_median", sec);
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -444,7 +491,7 @@ int main(int argc, char** argv) {
   report.meta("mode", opt.smoke ? "smoke" : "full");
   report.meta("compare", opt.compare ? "true" : "false");
 
-  Table table("micro substrates (best-of-reps; la.syev median-of-reps)",
+  Table table("micro substrates (best-of-reps; eigensolvers median-of-reps)",
               {"kernel", "threads", "seconds", "GFLOP/s", "bytes/pt",
                "speedup"});
   bench_gemm(opt, table, report);
@@ -453,6 +500,7 @@ int main(int argc, char** argv) {
   // definition) and doubles as an exactness assertion.
   if (bench_kmeans(opt, table, report) != 0) return 1;
   bench_syev(opt, table, report);
+  bench_dist_syev(opt, table, report);
 
   table.print();
   if (report.write()) {

@@ -17,11 +17,11 @@ namespace fs = std::filesystem;
 
 const std::vector<std::string>& all_pass_names() {
   static const std::vector<std::string> kNames = {
-      "layer-dag",      "collective-divergence", "omp-race",
-      "hot-path-purity", "phase-registry",       "phase-registry-sync",
-      "counter-registry", "counter-registry-sync", "naked-new-delete",
-      "banned-volatile", "banned-thread",        "banned-sleep",
-      "parent-include", "pragma-once"};
+      "layer-dag",        "collective-divergence", "omp-race",
+      "fp-reduction",     "hot-path-purity",       "phase-registry",
+      "phase-registry-sync", "counter-registry",   "counter-registry-sync",
+      "naked-new-delete", "banned-volatile",       "banned-thread",
+      "banned-sleep",     "parent-include",        "pragma-once"};
   return kNames;
 }
 
@@ -206,6 +206,7 @@ Report analyze(const Config& config, const std::vector<std::string>& files) {
   if (ctx.enabled("layer-dag")) run_layer_dag(ctx);
   if (ctx.enabled("collective-divergence")) run_collective_divergence(ctx);
   if (ctx.enabled("omp-race")) run_omp_race(ctx);
+  if (ctx.enabled("fp-reduction")) run_fp_reduction(ctx);
   if (ctx.enabled("hot-path-purity")) run_hot_path_purity(ctx);
   if (ctx.enabled("counter-registry")) run_counter_registry(ctx);
   if (ctx.enabled("counter-registry-sync")) run_counter_registry_sync(ctx);

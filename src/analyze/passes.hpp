@@ -8,6 +8,8 @@
 //   collective-divergence  Comm collectives under rank-dependent control
 //   omp-race               writes to shared variables inside omp regions
 //                          (scope-aware; see analyze/scope.hpp)
+//   fp-reduction           OpenMP +/*/- reductions on floating-point
+//                          variables in parallel/worksharing directives
 //   hot-path-purity        no allocation/locks/IO in -O3 TUs and
 //                          omp-containing functions
 //   phase-registry         Span/ScopedPhase/PhaseTimer names and
@@ -84,6 +86,10 @@ void run_pattern_gates(const PassContext& ctx);
 /// every obs::counter("...") literal to name a Config::counter_registry
 /// entry.
 void run_omp_race(const PassContext& ctx);
+/// fp-reduction flags `reduction(+|*|-: v)` on a floating-point `v` in a
+/// parallel or worksharing directive (pure `omp simd` is exempt: its
+/// combine order is fixed per binary).
+void run_fp_reduction(const PassContext& ctx);
 void run_hot_path_purity(const PassContext& ctx);
 void run_counter_registry(const PassContext& ctx);
 

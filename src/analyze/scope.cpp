@@ -152,6 +152,21 @@ std::vector<OmpDirective> parse_omp_directives(const LexedFile& file) {
           // reduction(op : list) — only the list names are private.
           from = colon < arg_end ? colon + 1 : arg_begin;
           to = arg_end;
+          OmpDirective::Reduction red;
+          red.line = t[i].line;
+          for (std::size_t j = arg_begin; j < colon && colon < arg_end; ++j) {
+            if (is_punct(t[j], ",")) {
+              red.op.clear();  // a modifier came first
+            } else {
+              red.op += t[j].text;
+            }
+          }
+          for (std::size_t j = from; j < to; ++j) {
+            if (t[j].kind == TokKind::kIdentifier) {
+              red.names.push_back(t[j].text);
+            }
+          }
+          dir.reductions.push_back(std::move(red));
         } else if (clause == "linear") {
           // linear(list : step) — only the list names.
           from = arg_begin;

@@ -45,6 +45,14 @@ struct OmpDirective {
   /// Variables named in private/firstprivate/lastprivate clauses, after
   /// the ':' of reduction clauses, and before the ':' of linear clauses.
   std::set<std::string> privatized;
+  /// reduction(op : list) clauses: the operator (after any modifier, e.g.
+  /// "+" for `reduction(inscan, + : x)`) and the list names, in order.
+  struct Reduction {
+    std::string op;
+    std::vector<std::string> names;
+    int line = 0;
+  };
+  std::vector<Reduction> reductions;
   /// Token range of the associated construct (the following block, for
   /// statement, or plain statement); empty for standalone directives
   /// (barrier, taskwait, flush, declare ...).

@@ -1,10 +1,12 @@
-// The scope-aware passes: omp-race, hot-path-purity, counter-registry.
+// The scope-aware passes: omp-race, fp-reduction, hot-path-purity,
+// counter-registry.
 //
 // These build on analyze/scope.hpp (block extents, declaration sites,
 // parsed omp directives) instead of the flat token scans in passes.cpp.
-// All three err toward exemption — docs/STATIC_ANALYSIS.md lists the
+// All of them err toward exemption — docs/STATIC_ANALYSIS.md lists the
 // false-negative shapes — because a static race/purity gate that cries
 // wolf gets baselined into uselessness.
+#include <algorithm>
 #include <cstddef>
 #include <map>
 #include <set>
@@ -561,6 +563,122 @@ bool counter_checked_file(const std::string& path) {
   return in_dir(path, "src") || in_dir(path, "bench");
 }
 
+// ----- fp-reduction -----------------------------------------------------------
+
+bool floating_type_name(const std::string& s) {
+  static const std::set<std::string> kNames = {"double", "float", "Real",
+                                               "Complex", "complex"};
+  return kNames.count(s) != 0;
+}
+
+bool statement_keyword(const std::string& s) {
+  static const std::set<std::string> kNames = {
+      "return", "else", "case",   "goto",      "throw",
+      "delete", "new",  "sizeof", "co_return", "co_yield"};
+  return kNames.count(s) != 0;
+}
+
+/// Whether any token in [begin, end) names a floating-point type.
+bool names_floating_type(const Tokens& t, std::size_t begin, std::size_t end) {
+  for (std::size_t k = begin; k < end; ++k) {
+    if (t[k].kind == TokKind::kIdentifier && floating_type_name(t[k].text)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Whether the nearest declaration of `name` before token `before` has a
+/// floating-point type (double, float, Real, Complex, std::complex<...>).
+/// Only `T name` and `T a = ..., name` shapes count as declarations;
+/// pointer and reference declarators are skipped (a reduction on them is
+/// rare and `a * name` reads the same). No declaration found means not
+/// floating: like the other scoped passes this one errs toward silence.
+bool declared_floating(const Tokens& t, const std::string& name,
+                       std::size_t before) {
+  for (std::size_t i = std::min(before, t.size()); i-- > 1;) {
+    if (t[i].kind != TokKind::kIdentifier || t[i].text != name ||
+        i + 1 >= t.size()) {
+      continue;
+    }
+    const Token& next = t[i + 1];
+    if (!is_punct(next, "=") && !is_punct(next, ";") && !is_punct(next, ",") &&
+        !is_punct(next, "{") && !is_punct(next, ")") && !is_punct(next, "[")) {
+      continue;
+    }
+    const Token& prev = t[i - 1];
+    const bool direct = (prev.kind == TokKind::kIdentifier &&
+                         !statement_keyword(prev.text)) ||
+                        is_punct(prev, ">");
+    if (!direct && !is_punct(prev, ",")) continue;
+    // Walk back to where this declarator's type starts: the statement
+    // start (a ';', ':' or brace), or for a direct declarator also a
+    // parameter-list comma. Parentheses, subscripts and template angles
+    // in between are skipped.
+    int depth = 0;
+    std::size_t start = i - 1;
+    bool in_params = false;
+    for (;; --start) {
+      const Token& tok = t[start];
+      if (is_punct(tok, ")") || is_punct(tok, "]") || is_punct(tok, ">")) {
+        ++depth;
+      } else if (is_punct(tok, "(") || is_punct(tok, "[") ||
+                 is_punct(tok, "<")) {
+        if (depth == 0) {
+          in_params = is_punct(tok, "(");
+          break;
+        }
+        --depth;
+      } else if (depth == 0 &&
+                 (is_punct(tok, ";") || is_punct(tok, ":") ||
+                  is_punct(tok, "{") || is_punct(tok, "}") ||
+                  (direct && is_punct(tok, ",")))) {
+        break;
+      }
+      if (start == 0) break;
+    }
+    if (direct) return names_floating_type(t, start + 1, i);
+    // `T a = x, name`: a comma inside a parameter list is no declaration.
+    if (in_params) return false;
+    std::size_t type_end = start + 1;
+    while (type_end < i && !is_punct(t[type_end], "=") &&
+           !is_punct(t[type_end], ",")) {
+      ++type_end;
+    }
+    return names_floating_type(t, start + 1, type_end);
+  }
+  return false;
+}
+
+bool fp_reduction_construct(const OmpDirective& d) {
+  return d.has_kind("parallel") || d.has_kind("for") ||
+         d.has_kind("taskloop") || d.has_kind("sections") ||
+         d.has_kind("teams") || d.has_kind("distribute");
+}
+
+void fp_reduction_scan(const PassContext& ctx, const LexedFile& file) {
+  const Tokens& t = file.tokens;
+  for (const OmpDirective& d : parse_omp_directives(file)) {
+    // A pure `omp simd` reduction is exempt: its lanes combine in an
+    // order fixed by the compiled binary, whatever the thread count.
+    if (!fp_reduction_construct(d)) continue;
+    for (const OmpDirective::Reduction& red : d.reductions) {
+      if (red.op != "+" && red.op != "*" && red.op != "-") continue;
+      for (const std::string& name : red.names) {
+        if (!declared_floating(t, name, d.begin)) continue;
+        add_finding(
+            ctx, "fp-reduction", file.path, red.line,
+            "OpenMP reduction('" + red.op + "') on floating-point '" + name +
+                "' combines per-thread partials in an unspecified order, so "
+                "its last bits vary from run to run and with the thread "
+                "count; sum fixed index-ordered chunks and combine them "
+                "serially (kmeans.cpp kObjectiveChunks), or suppress with "
+                "`lrt-analyze: allow(fp-reduction)` if the bits may vary");
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void run_omp_race(const PassContext& ctx) {
@@ -568,6 +686,13 @@ void run_omp_race(const PassContext& ctx) {
     const LexedFile& file = (*ctx.files)[i];
     if (in_dir(file.path, "tests")) continue;
     omp_race_scan(ctx, file, i);
+  }
+}
+
+void run_fp_reduction(const PassContext& ctx) {
+  for (const LexedFile& file : *ctx.files) {
+    if (in_dir(file.path, "tests")) continue;
+    fp_reduction_scan(ctx, file);
   }
 }
 

@@ -374,6 +374,9 @@ void scale_c(Real beta, RealView c) {
 
 Real dot(const Real* x, const Real* y, Index n) {
   Real sum = 0.0;
+  // A pure simd reduction runs on one thread; its lanes combine in an
+  // order fixed when the binary is built, so the bits do not depend on
+  // the thread count (exempt from lrt-analyze's fp-reduction pass).
 #pragma omp simd reduction(+ : sum)
   for (Index i = 0; i < n; ++i) sum += x[i] * y[i];
   return sum;

@@ -3,15 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
+#include "la/eig_parts.hpp"
 #include "la/qr.hpp"
 
 namespace lrt::la {
-namespace {
 
-// Both routines below work on W = Vᵀ, the transpose of the EISPACK
+// The routines below work on W = Vᵀ, the transpose of the EISPACK
 // working matrix: every V(r, c) of the Algol procedures is read as
 // W(c, r). Each eigenvector is then a contiguous row of W, so the
 // O(n³) inner loops (the Householder update and accumulation in tred2,
@@ -19,15 +20,27 @@ namespace {
 // sweeps instead of column walks. Loop order and operation order are
 // those of the Algol procedures, so the results are bitwise identical
 // to the textbook row-major port (tests/test_la_eig.cpp keeps it as an
-// oracle).
+// oracle). tred2 is split into its reduction and its accumulation, and
+// the accumulation and tql2 take a row set and a column slice, so
+// par::dist_syev can share them across ranks (la/eig_parts.hpp).
+namespace eig_parts {
 
-// Householder reduction of a real symmetric matrix to tridiagonal form
-// with accumulated transformations. Ported from the Algol tred2 procedure
-// (Bowdler, Martin, Reinsch, Wilkinson; Handbook for Automatic Computation)
-// in its widely used C translation. On entry `w` holds the symmetric
-// matrix; on exit it holds the transpose of the accumulated orthogonal
-// matrix, `d` the diagonal and `e` the subdiagonal (e[0] = 0).
-void tred2(RealMatrix& w, std::vector<Real>& d, std::vector<Real>& e) {
+void symmetrize(RealMatrix& a) {
+  LRT_CHECK(a.rows() == a.cols(), "syev needs a square matrix");
+  for (Index i = 0; i < a.rows(); ++i) {
+    for (Index j = 0; j <= i; ++j) {
+      const Real avg = 0.5 * (a(i, j) + a(j, i));
+      a(i, j) = avg;
+      a(j, i) = avg;
+    }
+  }
+}
+
+// Householder reduction of a real symmetric matrix to tridiagonal form:
+// the first half of the Algol tred2 procedure (Bowdler, Martin, Reinsch,
+// Wilkinson; Handbook for Automatic Computation) in its widely used C
+// translation.
+void tred2_reduce(RealMatrix& w, std::vector<Real>& d, std::vector<Real>& e) {
   const Index n = w.rows();
   for (Index j = 0; j < n; ++j) d[j] = w(j, n - 1);
 
@@ -86,17 +99,28 @@ void tred2(RealMatrix& w, std::vector<Real>& d, std::vector<Real>& e) {
     }
     d[i] = h;
   }
+  e[0] = 0.0;
+}
 
-  // Accumulate transformations.
+// Accumulation of the transformations: the second half of tred2. The
+// Algol loop updates rows j = 0..i at step i; here only the listed rows
+// among them. Everything else (parking the diagonal in column n-1, the
+// scaled Householder vector in d[0..i], clearing row i+1) runs for every
+// row, so d ends the same on every caller.
+void tred2_accumulate(RealMatrix& w, std::vector<Real>& d,
+                      std::span<const Index> rows) {
+  const Index n = w.rows();
+  std::size_t live = 0;  // rows[0, live) are the listed rows j <= i
   for (Index i = 0; i < n - 1; ++i) {
     w(i, n - 1) = w(i, i);
     w(i, i) = 1.0;
+    while (live < rows.size() && rows[live] <= i) ++live;
     Real* wi1 = w.row_ptr(i + 1);
     const Real h = d[i + 1];
     if (h != 0.0) {
       for (Index k = 0; k <= i; ++k) d[k] = wi1[k] / h;
-      for (Index j = 0; j <= i; ++j) {
-        Real* wj = w.row_ptr(j);
+      for (std::size_t t = 0; t < live; ++t) {
+        Real* wj = w.row_ptr(rows[t]);
         Real g = 0.0;
         for (Index k = 0; k <= i; ++k) g += wi1[k] * wj[k];
         for (Index k = 0; k <= i; ++k) wj[k] -= g * d[k];
@@ -109,13 +133,14 @@ void tred2(RealMatrix& w, std::vector<Real>& d, std::vector<Real>& e) {
     w(j, n - 1) = 0.0;
   }
   w(n - 1, n - 1) = 1.0;
-  e[0] = 0.0;
 }
 
 // Implicit-shift QL iteration on the tridiagonal (d, e) with eigenvector
-// accumulation into the rows of w. Ported from the Algol tql2 procedure.
+// accumulation into the rows of w, which hold all of W or a slice of its
+// columns. Ported from the Algol tql2 procedure.
 void tql2(RealMatrix& w, std::vector<Real>& d, std::vector<Real>& e) {
-  const Index n = w.rows();
+  const Index n = static_cast<Index>(d.size());
+  const Index m_cols = w.cols();
   for (Index i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
 
@@ -169,7 +194,7 @@ void tql2(RealMatrix& w, std::vector<Real>& d, std::vector<Real>& e) {
           d[i + 1] = h + s * (c * g + s * d[i]);
           Real* wi = w.row_ptr(i);
           Real* wi1 = w.row_ptr(i + 1);
-          for (Index k = 0; k < n; ++k) {
+          for (Index k = 0; k < m_cols; ++k) {
             h = wi1[k];
             wi1[k] = s * wi[k] + c * h;
             wi[k] = c * wi[k] - s * h;
@@ -197,10 +222,14 @@ void tql2(RealMatrix& w, std::vector<Real>& d, std::vector<Real>& e) {
     if (k != i) {
       d[k] = d[i];
       d[i] = p;
-      std::swap_ranges(w.row_ptr(i), w.row_ptr(i) + n, w.row_ptr(k));
+      std::swap_ranges(w.row_ptr(i), w.row_ptr(i) + m_cols, w.row_ptr(k));
     }
   }
 }
+
+}  // namespace eig_parts
+
+namespace {
 
 // In-place transpose of a square matrix.
 void transpose_in_place(RealMatrix& w) {
@@ -211,15 +240,8 @@ void transpose_in_place(RealMatrix& w) {
 }
 
 RealMatrix symmetrized_copy(RealConstView a) {
-  LRT_CHECK(a.rows() == a.cols(), "syev needs a square matrix");
-  RealMatrix m(a.rows(), a.cols());
-  for (Index i = 0; i < a.rows(); ++i) {
-    for (Index j = 0; j <= i; ++j) {
-      const Real avg = 0.5 * (a(i, j) + a(j, i));
-      m(i, j) = avg;
-      m(j, i) = avg;
-    }
-  }
+  RealMatrix m = to_matrix(a);
+  eig_parts::symmetrize(m);
   return m;
 }
 
@@ -239,8 +261,11 @@ EigResult syev(RealConstView a) {
   // The symmetrized copy is its own transpose, so it is already the
   // working matrix W = Vᵀ; one transpose at the end returns V.
   std::vector<Real> e(static_cast<std::size_t>(n), Real{0});
-  tred2(result.vectors, result.values, e);
-  tql2(result.vectors, result.values, e);
+  std::vector<Index> all_rows(static_cast<std::size_t>(n));
+  std::iota(all_rows.begin(), all_rows.end(), Index{0});
+  eig_parts::tred2_reduce(result.vectors, result.values, e);
+  eig_parts::tred2_accumulate(result.vectors, result.values, all_rows);
+  eig_parts::tql2(result.vectors, result.values, e);
   transpose_in_place(result.vectors);
   return result;
 }

@@ -13,7 +13,9 @@
 // O(n³) inner loop is a unit-stride sweep. One in-place transpose at the
 // end restores the column convention. Only the layout differs from the
 // textbook port: the arithmetic and its order are the same, so results
-// are bitwise identical to it (see docs/PERFORMANCE.md §7).
+// are bitwise identical to it (see docs/PERFORMANCE.md §7). The pieces
+// (reduction, accumulation over a row set, QL over a column slice) are in
+// la/eig_parts.hpp, which par::dist_syev uses to split the work.
 #pragma once
 
 #include <vector>

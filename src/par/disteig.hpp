@@ -1,11 +1,14 @@
 // Distributed symmetric eigensolve (ScaLAPACK SYEVD stand-in).
 //
-// The naive LR-TDDFT path redistributes the explicit Hamiltonian to a 2-D
-// block-cyclic layout and calls SYEVD. Our stand-in reproduces the data
-// movement (redistribute -> solve -> redistribute back) while the numeric
-// factorization itself is gathered to rank 0 — on a single-core container
-// a truly distributed tridiagonalization would be pure ceremony; the
-// communication pattern and interfaces are what the scaling benches need.
+// The paper's naive LR-TDDFT path diagonalizes the explicit Ncv×Ncv
+// Hamiltonian with distributed SYEVD. The default path here runs la::syev's
+// own pieces (la/eig_parts.hpp) across the ranks: rank 0 reduces the matrix
+// to tridiagonal form and broadcasts it, every rank accumulates the
+// Householder transformations into the eigenvector rows it owns, one
+// alltoallv turns those row slices into column slices, and every rank runs
+// the QL iteration on its slice. Every floating-point operation is the one
+// la::syev performs, in the same order, so values and vectors are bitwise
+// equal to la::syev at any rank count (docs/PERFORMANCE.md §7).
 #pragma once
 
 #include "la/eig.hpp"
@@ -19,10 +22,11 @@ struct DistEigResult {
 };
 
 enum class DistEigMethod {
-  /// Redistribute to 2-D block-cyclic, gather, factor on rank 0 with
-  /// la::syev. Its O(n³) factorization is serial: on the si27 naive
-  /// benchmark (n = 512, 4 ranks) it is about 0.23 s of a 0.39 s solve
-  /// while the other ranks wait (docs/PERFORMANCE.md §7).
+  /// la::syev split across ranks, bitwise equal to it: the Householder
+  /// reduction on rank 0 (about a fifth of the work), the accumulation by
+  /// cyclically owned eigenvector rows and the QL rotations by column
+  /// blocks on all ranks. Vectors land in a block-row layout with no
+  /// further exchange.
   kGathered,
   /// Fully distributed one-sided Jacobi (par/jacobi_eig) — no serial
   /// bottleneck, more flops.
@@ -30,8 +34,8 @@ enum class DistEigMethod {
 };
 
 /// Solves the symmetric eigenproblem of a distributed matrix. `a` may be in
-/// any layout; internally converts to 2-D block-cyclic (as the paper does
-/// before SYEVD), factorizes, and returns vectors in `a`'s layout.
+/// any layout; the vectors come back in `a`'s layout (a block-row `a` needs
+/// no redistribution) and the ascending values on every rank.
 DistEigResult dist_syev(Comm& comm, const DistMatrix& a,
                         DistEigMethod method = DistEigMethod::kGathered);
 

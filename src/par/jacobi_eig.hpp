@@ -1,6 +1,6 @@
 // Distributed one-sided Jacobi symmetric eigensolver.
 //
-// A genuinely distributed alternative to the gathered SYEVD stand-in of
+// A fully distributed alternative to the split SYEVD stand-in of
 // dist_syev: columns of the (Gershgorin-shifted, hence SPD) matrix are
 // block-partitioned over ranks; plane rotations orthogonalize column
 // pairs of W = (A + σI) V while the same rotations accumulate into V.

@@ -42,8 +42,9 @@ struct DistDriverOptions {
   /// GEMM+Allreduce (false).
   bool pipelined_reduce = false;
   Index pipeline_chunk = 64;
-  /// Dense eigensolver for the naive path: gathered SYEVD stand-in or the
-  /// fully distributed one-sided Jacobi.
+  /// Dense eigensolver for the naive path: la::syev split across the ranks
+  /// (bitwise equal to the serial solve) or the fully distributed
+  /// one-sided Jacobi.
   par::DistEigMethod eig_method = par::DistEigMethod::kGathered;
   /// Phase-granular restart (docs/RESILIENCE.md): when non-empty and the
   /// file exists, the implicit path loads the distributed K-Means result

@@ -648,6 +648,42 @@ TEST(AnalyzeOmpRace, SavedDataPointerAliasIsTracedToItsOrigin) {
       << findings[0].message;
 }
 
+// ----- fp-reduction -----------------------------------------------------------
+
+TEST(AnalyzeFpReduction, FlagsFloatingReductionsInParallelDirectivesOnly) {
+  const Report report = run_fixture(fixture_config({"fp-reduction"}));
+  std::vector<Finding> fixture;
+  std::set<std::string> other_files;
+  for (const Finding& f : findings_for(report, "fp-reduction")) {
+    if (f.file == "src/kmeans/fp_reduction.cpp") {
+      fixture.push_back(f);
+    } else {
+      other_files.insert(f.file);
+    }
+  }
+  // '+' on double sum and '*' on Real prod are new, the allow()'d one
+  // resolves; the integer twin, max and pure simd reductions are silent.
+  ASSERT_EQ(fixture.size(), 3u) << lrt::analyze::report_to_text(report, true);
+  EXPECT_EQ(count_status(fixture, Finding::Status::kNew), 2);
+  EXPECT_EQ(count_status(fixture, Finding::Status::kSuppressed), 1);
+  std::string all;
+  for (const Finding& f : fixture) all += f.message + "\n";
+  EXPECT_NE(all.find("reduction('+') on floating-point 'sum'"),
+            std::string::npos)
+      << all;
+  EXPECT_NE(all.find("reduction('*') on floating-point 'prod'"),
+            std::string::npos)
+      << all;
+  EXPECT_EQ(all.find("full_scans"), std::string::npos) << all;
+  EXPECT_EQ(all.find("best"), std::string::npos) << all;
+  // The omp-race fixtures' `reduction(+ : total|sum)` on doubles are real
+  // fp-reduction findings too.
+  EXPECT_EQ(other_files,
+            (std::set<std::string>{"src/kmeans/callee_write.cpp",
+                                   "src/kmeans/race.cpp",
+                                   "src/la/alias_store.cpp"}));
+}
+
 // ----- hot-path-purity --------------------------------------------------------
 
 TEST(AnalyzeHotPath, CmakeParsingPromotesOnlyO3Blocks) {
@@ -801,13 +837,13 @@ TEST(AnalyzeReport, FullFixtureRunCountsEveryState) {
   }
   const Report report = run_fixture(fixture_config(std::move(passes)));
   // 4 layer-dag + 5 collective-divergence + 7 omp-race +
-  // 7 hot-path-purity + 1 phase-registry + 2 counter-registry +
-  // 2 naked-new-delete + 3 banned-volatile + 1 banned-thread +
-  // 1 banned-sleep + 1 parent-include + 1 pragma-once.
-  EXPECT_EQ(report.findings.size(), 35u)
+  // 6 fp-reduction + 7 hot-path-purity + 1 phase-registry +
+  // 2 counter-registry + 2 naked-new-delete + 3 banned-volatile +
+  // 1 banned-thread + 1 banned-sleep + 1 parent-include + 1 pragma-once.
+  EXPECT_EQ(report.findings.size(), 41u)
       << lrt::analyze::report_to_text(report, true);
-  EXPECT_EQ(report.new_count, 30);
-  EXPECT_EQ(report.suppressed_count, 5);
+  EXPECT_EQ(report.new_count, 35);
+  EXPECT_EQ(report.suppressed_count, 6);
   EXPECT_EQ(report.baselined_count, 0);
   EXPECT_FALSE(report.clean());
 
@@ -936,6 +972,21 @@ TEST(AnalyzeReport, RealRepositoryOmpRaceIsCleanWithoutBaseline) {
   EXPECT_EQ(report.new_count, 0)
       << lrt::analyze::report_to_text(report, false);
   EXPECT_EQ(report.baselined_count, 0);
+}
+
+TEST(AnalyzeReport, RealRepositoryFpReductionIsCleanWithoutBaseline) {
+  // Floating-point sums under OpenMP use fixed index-ordered chunks
+  // (kmeans.cpp); the only reductions left are integer counters and a
+  // pure simd dot product.
+  Config config = real_repo_config();
+  config.passes = {"fp-reduction"};
+  config.baseline_files.clear();
+  config.baseline_layer_edges.clear();
+  const Report report = lrt::analyze::analyze_repo(config);
+  EXPECT_EQ(report.new_count, 0)
+      << lrt::analyze::report_to_text(report, false);
+  EXPECT_EQ(report.baselined_count, 0);
+  EXPECT_EQ(report.suppressed_count, 0);
 }
 
 TEST(AnalyzeReport, RealRepositoryHotPathIsCleanWithoutBaseline) {

@@ -6,8 +6,10 @@
 #include <limits>
 #include <vector>
 
+#include "eig_test_inputs.hpp"
 #include "la/blas.hpp"
 #include "la/eig.hpp"
+#include "la/eig_parts.hpp"
 #include "la/ortho.hpp"
 
 namespace lrt::la {
@@ -309,36 +311,82 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SyevOracleSizes,
                          ::testing::Values<Index>(2, 3, 17, 64, 200, 512));
 
 TEST(SyevOracle, BlockDiagonalHitsZeroScaleBranch) {
-  // The trailing 1x1 block is decoupled, so the first Householder step
-  // sees an all-zero row (tred2's scale == 0 branch); the two leading
-  // blocks are decoupled from each other as well.
-  const Index n = 9;
-  Rng rng(77);
-  const RealMatrix r = RealMatrix::random_normal(n, n, rng);
-  RealMatrix a(n, n);
-  const Index blocks[][2] = {{0, 5}, {5, 8}, {8, 9}};
-  for (const auto& blk : blocks) {
-    for (Index i = blk[0]; i < blk[1]; ++i) {
-      for (Index j = blk[0]; j < blk[1]; ++j) a(i, j) = r(i, j) + r(j, i);
-    }
-  }
-  expect_bitwise_equal_to_oracle(a);
+  expect_bitwise_equal_to_oracle(eig_inputs::block_diagonal_zero_scale());
 }
 
 TEST(SyevOracle, DegenerateSpectrum) {
-  // Eigenvalues {1,1,1,4,4} after a dense orthogonal similarity, so the
-  // QL iteration has to separate repeated eigenvalues.
-  const Index n = 5;
-  Rng rng(5);
-  RealMatrix q = RealMatrix::random_normal(n, n, rng);
-  ortho_qr(q.view());
-  RealMatrix lam(n, n);
-  for (Index i = 0; i < n; ++i) lam(i, i) = i < 3 ? 1.0 : 4.0;
-  const RealMatrix ql = gemm(Trans::kNo, Trans::kNo, q.view(), lam.view());
-  const RealMatrix a = gemm(Trans::kNo, Trans::kYes, ql.view(), q.view());
-  expect_bitwise_equal_to_oracle(a);
+  expect_bitwise_equal_to_oracle(eig_inputs::degenerate_spectrum());
   // The diagonal (already tridiagonal, all-zero off-diagonal) case too.
-  expect_bitwise_equal_to_oracle(lam);
+  expect_bitwise_equal_to_oracle(eig_inputs::degenerate_diagonal());
+}
+
+// Runs syev's pieces the way a distributed caller does: the reduction
+// once, the accumulation separately over each part of an uneven row
+// partition, tql2 separately over each part of an uneven column partition
+// (one of them empty). Every piece must reproduce syev's bits.
+void expect_pieces_bitwise_equal_to_syev(const RealMatrix& a) {
+  const Index n = a.rows();
+  const EigResult want = syev(a.view());
+
+  RealMatrix reduced = a;
+  eig_parts::symmetrize(reduced);
+  std::vector<Real> d_reduced(static_cast<std::size_t>(n), Real{0});
+  std::vector<Real> e(static_cast<std::size_t>(n), Real{0});
+  eig_parts::tred2_reduce(reduced, d_reduced, e);
+
+  // Rows: three unequal parts, the middle one not contiguous.
+  std::vector<std::vector<Index>> row_parts(3);
+  for (Index j = 0; j < n; ++j) {
+    row_parts[j < n / 5 ? 0 : (j % 3 == 0 ? 1 : 2)].push_back(j);
+  }
+  RealMatrix w(n, n);
+  std::vector<Real> d;
+  for (const std::vector<Index>& rows : row_parts) {
+    RealMatrix part = reduced;
+    std::vector<Real> d_part = d_reduced;
+    eig_parts::tred2_accumulate(part, d_part, rows);
+    for (const Index j : rows) {
+      for (Index k = 0; k < n; ++k) w(j, k) = part(j, k);
+    }
+    if (!d.empty()) {
+      EXPECT_EQ(d_part, d) << "the diagonal must not depend on the rows";
+    }
+    d = d_part;
+  }
+
+  // Columns: [0, c1), [c1, c1), [c1, c2), [c2, n) with unequal widths.
+  const Index c1 = (2 * n) / 3;
+  const Index c2 = c1 + (n - c1) / 4;
+  const Index cuts[][2] = {{0, c1}, {c1, c1}, {c1, c2}, {c2, n}};
+  Index mismatches = 0;
+  for (const auto& cut : cuts) {
+    const Index m = cut[1] - cut[0];
+    RealMatrix slice(n, m);
+    for (Index i = 0; i < n; ++i) {
+      for (Index k = 0; k < m; ++k) slice(i, k) = w(i, cut[0] + k);
+    }
+    std::vector<Real> values = d;
+    std::vector<Real> e_part = e;
+    eig_parts::tql2(slice, values, e_part);
+    EXPECT_EQ(values, want.values);
+    // slice holds rows [cut[0], cut[1]) of V, transposed.
+    for (Index i = 0; i < n; ++i) {
+      for (Index k = 0; k < m; ++k) {
+        if (slice(i, k) != want.vectors(cut[0] + k, i)) ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "eigenvector entries differ from syev";
+}
+
+TEST(SyevParts, UnevenRowAndColumnPartitionsGiveSyevBits) {
+  for (const Index n : {Index{2}, Index{3}, Index{17}, Index{64}}) {
+    Rng rng(static_cast<unsigned>(2000 + n));
+    expect_pieces_bitwise_equal_to_syev(RealMatrix::random_normal(n, n, rng));
+  }
+  expect_pieces_bitwise_equal_to_syev(eig_inputs::block_diagonal_zero_scale());
+  expect_pieces_bitwise_equal_to_syev(eig_inputs::degenerate_spectrum());
+  expect_pieces_bitwise_equal_to_syev(eig_inputs::degenerate_diagonal());
 }
 
 TEST(Sygv, MatchesDirectSubstitution) {

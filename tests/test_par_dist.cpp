@@ -3,6 +3,7 @@
 // reduction, and the distributed eigensolver.
 #include <gtest/gtest.h>
 
+#include "eig_test_inputs.hpp"
 #include "la/blas.hpp"
 #include "la/eig.hpp"
 #include "par/distblas.hpp"
@@ -222,6 +223,55 @@ TEST_P(DistSweep, DistSyevMatchesSerial) {
       EXPECT_LT(la::eig_residual(a.view(), check), 1e-8);
     }
   });
+}
+
+// The kGathered path runs la::syev's own pieces over rank-owned rows and
+// columns, so its values and vectors equal la::syev bit for bit at every
+// rank count, n < p included, whatever the input layout.
+void expect_dist_syev_bitwise_equal(int p, const la::RealMatrix& a,
+                                    const Layout& layout) {
+  const la::EigResult want = la::syev(a.view());
+  run(p, [&](Comm& comm) {
+    DistMatrix dist(layout, comm.rank());
+    dist.fill_global([&a](Index i, Index j) { return a(i, j); });
+    const DistEigResult result = dist_syev(comm, dist);
+    EXPECT_EQ(result.vectors.layout(), layout);
+    const la::RealMatrix v = result.vectors.allgather_full(comm);
+    EXPECT_EQ(result.values, want.values) << "n = " << a.rows();
+    ASSERT_EQ(v.rows(), want.vectors.rows());
+    ASSERT_EQ(v.cols(), want.vectors.cols());
+    Index mismatches = 0;
+    for (Index i = 0; i < v.rows(); ++i) {
+      for (Index j = 0; j < v.cols(); ++j) {
+        if (v(i, j) != want.vectors(i, j)) ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "n = " << a.rows() << " on rank "
+                             << comm.rank();
+  });
+}
+
+TEST_P(DistSweep, DistSyevBitwiseEqualsSerial) {
+  const int p = GetParam();
+  for (const Index n : {Index{1}, Index{2}, Index{3}, Index{14}, Index{64},
+                        Index{257}}) {
+    Rng rng(static_cast<unsigned>(300 + n));
+    // Deliberately unsymmetric: both solvers symmetrize.
+    const la::RealMatrix a = la::RealMatrix::random_normal(n, n, rng);
+    expect_dist_syev_bitwise_equal(p, a, Layout::block_row(n, n, p));
+  }
+  for (const la::RealMatrix& a : {la::eig_inputs::block_diagonal_zero_scale(),
+                                  la::eig_inputs::degenerate_spectrum(),
+                                  la::eig_inputs::degenerate_diagonal()}) {
+    expect_dist_syev_bitwise_equal(p, a,
+                                   Layout::block_row(a.rows(), a.cols(), p));
+  }
+  // A layout other than block-row takes the redistribute at the end.
+  Rng rng(17);
+  const la::RealMatrix a = la::RealMatrix::random_normal(14, 14, rng);
+  expect_dist_syev_bitwise_equal(p, a, Layout::block_col(14, 14, p));
+  expect_dist_syev_bitwise_equal(
+      p, a, Layout::block_cyclic_2d(14, 14, 1, p, 3, 3));
 }
 
 TEST_P(DistSweep, DistSyevJacobiMethodMatchesSerial) {

@@ -51,8 +51,8 @@ run_flavor() {
 fault_spec="seed=2026,fail=0.002,delay=0.002,delay_us=20"
 
 # Suites whose assertions are bitwise (EXPECT_EQ on doubles), run by
-# the threads flavor.
-bit_identity_suites='^(test_ft_restart|test_perf_kernels|test_comm_avoiding|test_kmeans|test_la_eig)\.'
+# the threads flavor, plus the distributed eigensolver's bitwise test.
+bit_identity_suites='^(test_ft_restart|test_perf_kernels|test_comm_avoiding|test_kmeans|test_la_eig)\.|^test_par_dist\..*DistSyevBitwiseEqualsSerial'
 
 do_lint=0 do_plain=0 do_asan=0 do_tsan=0 do_bench=0 do_fault=0 do_threads=0
 if [ "$#" -eq 0 ]; then
