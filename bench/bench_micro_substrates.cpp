@@ -4,13 +4,16 @@
 // BENCH_micro.json (schema lrt.bench/1).
 //
 // Flags:
-//   --compare   also time the pre-PR baselines (gemm_reference, the old
-//               per-line Fft3D algorithm, exact K-Means assignment) and
-//               report speedup_vs_ref on each new-path record — this is
-//               the committed evidence for the PR-4 acceptance numbers;
+//   --compare   also time the pre-PR baselines (gemm_reference from
+//               tests/gemm_reference.hpp, the old per-line Fft3D
+//               algorithm, exact K-Means assignment) and report
+//               speedup_vs_ref on each new-path record — this is the
+//               committed evidence for the PR-4 acceptance numbers;
 //   --smoke     tiny sizes for the CI bench-smoke stage (seconds total);
-//   --reps N    best-of-N timing (default 3, smoke 2); the eigensolver
-//               records report the median of N instead.
+//   --reps N    timing repetitions (default 3, smoke 2; GEMM and the
+//               triangular solve 5): FFT and K-Means report the best of
+//               N, GEMM, the triangular solve and the eigensolvers the
+//               median.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -28,8 +31,10 @@
 #include "common/timer.hpp"
 #include "fft/fft1d.hpp"
 #include "fft/fft3d.hpp"
+#include "gemm_reference.hpp"
 #include "kmeans/kmeans.hpp"
 #include "la/blas.hpp"
+#include "la/cholesky.hpp"
 #include "la/eig.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/counters.hpp"
@@ -88,13 +93,22 @@ void bench_gemm(const Options& opt, Table& table, obs::BenchReport& report) {
     cases = {{48, 48, 48, la::Trans::kNo, la::Trans::kNo, "gemm.nn.48"},
              {64, 64, 64, la::Trans::kNo, la::Trans::kNo, "gemm.nn.64"}};
   } else {
-    cases = {{128, 128, 128, la::Trans::kNo, la::Trans::kNo, "gemm.nn.128"},
-             {256, 256, 256, la::Trans::kNo, la::Trans::kNo, "gemm.nn.256"},
-             {512, 512, 512, la::Trans::kNo, la::Trans::kNo, "gemm.nn.512"},
-             {256, 256, 256, la::Trans::kYes, la::Trans::kNo, "gemm.tn.256"},
-             {256, 256, 256, la::Trans::kNo, la::Trans::kYes, "gemm.nt.256"}};
+    // Square sizes, then the ISDF shapes of the Si64* workload: the
+    // Nμ x Nμ kernel projection over Nr = 4096 grid rows, the Θ solve's
+    // 16-column off-diagonal updates (both solve directions), and the
+    // LOBPCG block product.
+    using la::Trans;
+    cases = {{128, 128, 128, Trans::kNo, Trans::kNo, "gemm.nn.128"},
+             {256, 256, 256, Trans::kNo, Trans::kNo, "gemm.nn.256"},
+             {512, 512, 512, Trans::kNo, Trans::kNo, "gemm.nn.512"},
+             {256, 256, 256, Trans::kYes, Trans::kNo, "gemm.tn.256"},
+             {256, 256, 256, Trans::kNo, Trans::kYes, "gemm.nt.256"},
+             {288, 288, 4096, Trans::kYes, Trans::kNo, "gemm.tn.288x288x4096"},
+             {4096, 16, 272, Trans::kNo, Trans::kNo, "gemm.nn.4096x16x272"},
+             {4096, 16, 272, Trans::kNo, Trans::kYes, "gemm.nt.4096x16x272"},
+             {48, 24, 288, Trans::kYes, Trans::kNo, "gemm.tn.48x24x288"}};
   }
-  const int reps = opt.reps > 0 ? opt.reps : (opt.smoke ? 2 : 3);
+  const int reps = opt.reps > 0 ? opt.reps : (opt.smoke ? 2 : 5);
   set_threads(1);  // the acceptance claim is single-thread throughput
 
   for (const Case& c : cases) {
@@ -119,12 +133,12 @@ void bench_gemm(const Options& opt, Table& table, obs::BenchReport& report) {
          2.0 * static_cast<double>(c.m) * static_cast<double>(c.n)) /
         (static_cast<double>(c.m) * static_cast<double>(c.n));
 
-    const double sec_new = best_of(reps, [&] {
+    const double sec_new = median_of(reps, [&] {
       la::gemm(c.ta, c.tb, 1.0, a.view(), b.view(), 0.0, out.view());
     });
     double sec_ref = 0;
     if (opt.compare) {
-      sec_ref = best_of(reps, [&] {
+      sec_ref = median_of(reps, [&] {
         la::gemm_reference(c.ta, c.tb, 1.0, a.view(), b.view(), 0.0,
                            out.view());
       });
@@ -146,7 +160,7 @@ void bench_gemm(const Options& opt, Table& table, obs::BenchReport& report) {
         .param("n", static_cast<long long>(c.n))
         .param("k", static_cast<long long>(c.k))
         .param("threads", 1LL)
-        .metric("seconds_best", sec_new)
+        .metric("seconds_median", sec_new)
         .metric("gflops", gflops_new)
         .metric("bytes_per_point", bytes_per_point);
     if (opt.compare) {
@@ -158,11 +172,54 @@ void bench_gemm(const Options& opt, Table& table, obs::BenchReport& report) {
           .param("n", static_cast<long long>(c.n))
           .param("k", static_cast<long long>(c.k))
           .param("threads", 1LL)
-          .metric("seconds_best", sec_ref)
+          .metric("seconds_median", sec_ref)
           .metric("gflops", flops / sec_ref / 1e9)
           .metric("bytes_per_point", bytes_per_point);
     }
   }
+}
+
+// ----- right-side triangular solve -----------------------------------------
+
+/// Both Θ solves of the Si64* ISDF step, B := B L⁻ᵀ L⁻¹ on a 4096 x 288
+/// block: m n² flops each.
+void bench_trsm(const Options& opt, Table& table, obs::BenchReport& report) {
+  const Index m = opt.smoke ? 256 : 4096, n = opt.smoke ? 48 : 288;
+  const int reps = opt.reps > 0 ? opt.reps : (opt.smoke ? 2 : 5);
+  set_threads(1);
+  Rng rng(41);
+  const la::RealMatrix r = la::RealMatrix::random_normal(n, 2 * n, rng);
+  const la::RealMatrix l = la::cholesky(
+      la::gemm(la::Trans::kNo, la::Trans::kYes, r.view(), r.view()).view());
+  const la::RealMatrix b = la::RealMatrix::random_normal(m, n, rng);
+  la::RealMatrix x(m, n);
+  std::vector<double> seconds;
+  for (int rep = 0; rep < reps; ++rep) {
+    la::copy<Real>(b.view(), x.view());
+    Timer timer;
+    la::trsm_right_lower(la::Trans::kYes, l.view(), x.view());
+    la::trsm_right_lower(la::Trans::kNo, l.view(), x.view());
+    seconds.push_back(timer.seconds());
+  }
+  std::sort(seconds.begin(), seconds.end());
+  const double sec = seconds[seconds.size() / 2];
+  const double flops = 2.0 * double(m) * double(n) * double(n);
+  const std::string label = "la.trsm_right_lower." + std::to_string(m) +
+                            "x" + std::to_string(n);
+  table.row()
+      .cell(label)
+      .cell(Index{1})
+      .cell(sec, 5)
+      .cell(flops / sec / 1e9, 2)
+      .cell("-")
+      .cell("-");
+  report.record(label)
+      .param("kernel", "trsm_right_lower")
+      .param("m", static_cast<long long>(m))
+      .param("n", static_cast<long long>(n))
+      .param("threads", 1LL)
+      .metric("seconds_median", sec)
+      .metric("gflops", flops / sec / 1e9);
 }
 
 // ----- 3-D FFT -------------------------------------------------------------
@@ -491,10 +548,11 @@ int main(int argc, char** argv) {
   report.meta("mode", opt.smoke ? "smoke" : "full");
   report.meta("compare", opt.compare ? "true" : "false");
 
-  Table table("micro substrates (best-of-reps; eigensolvers median-of-reps)",
+  Table table("micro substrates (FFT, K-Means best-of-reps; others median)",
               {"kernel", "threads", "seconds", "GFLOP/s", "bytes/pt",
                "speedup"});
   bench_gemm(opt, table, report);
+  bench_trsm(opt, table, report);
   bench_fft(opt, table, report);
   // K-Means always compares (the exact path is its reference by
   // definition) and doubles as an exactness assertion.

@@ -2,10 +2,9 @@
 //
 // These stand in for the MKL calls the paper's implementation makes.
 // gemm runs a packed, register-tiled micro-kernel (BLIS-style blocking,
-// OpenMP-threaded, SIMD via runtime ISA dispatch) above a small flop
-// threshold and a branch-free scalar fallback below it; the pre-packing
-// blocked kernel survives as gemm_reference for tests and the
-// `bench_micro_substrates --compare` baseline. See docs/PERFORMANCE.md.
+// OpenMP-threaded, tile and SIMD width picked once per process by CPU
+// feature) above a small flop threshold and a branch-free scalar
+// fallback below it. See docs/PERFORMANCE.md.
 #pragma once
 
 #include <vector>
@@ -46,11 +45,6 @@ void gemm(Trans ta, Trans tb, Real alpha, RealConstView a, RealConstView b,
 /// Convenience: returns op(A) * op(B).
 RealMatrix gemm(Trans ta, Trans tb, RealConstView a, RealConstView b);
 
-/// The pre-micro-kernel blocked scalar gemm, preserved as a comparison
-/// baseline (tests, bench --compare). Same contract as gemm().
-void gemm_reference(Trans ta, Trans tb, Real alpha, RealConstView a,
-                    RealConstView b, Real beta, RealView c);
-
 /// One (A_i, C_i) pair of a gemm_many batch; every item shares op(B).
 struct GemmBatchItem {
   RealConstView a;
@@ -67,13 +61,39 @@ void gemm_many(Trans ta, Trans tb, Real alpha,
                const std::vector<GemmBatchItem>& items, RealConstView b,
                Real beta);
 
+/// SIMD instruction sets the hot kernels carry code for, narrowest first.
+enum class Isa { kBaseline, kAvx2Fma, kAvx512 };
+
+/// The widest Isa this CPU runs, probed once per process.
+Isa host_isa();
+
+/// Reduction depth of one packed gemm pass: each C element adds one
+/// chain of at most kGemmKc products per pass.
+inline constexpr Index kGemmKc = 256;
+
+/// A register-tiled micro-kernel of the packed gemm.
+struct GemmKernel {
+  Isa isa;
+  Index mr;  ///< rows of the C tile held in registers
+  Index nr;  ///< columns of the C tile held in registers
+  bool fma;  ///< chains by fused multiply-add (else multiply, then add)
+};
+
+/// The kernel gemm and gemm_many run: the first of gemm_kernels() that
+/// host_isa() supports, picked once per process.
+const GemmKernel& gemm_kernel();
+
+/// Every micro-kernel compiled into this build, widest ISA first.
+std::vector<GemmKernel> gemm_kernels();
+
 /// Column block width of trsm_right_lower.
 inline constexpr Index kTrsmBlock = 16;
 
 /// Right-side triangular solve in place: B := B op(L)⁻¹ for an n x n
 /// lower-triangular L (only its lower triangle is read) and an m x n B.
 /// Blocked over kTrsmBlock columns: each block's off-diagonal update is
-/// one gemm, and its diagonal block is solved row by row, rows split
+/// one gemm, and its diagonal block is solved with rows in SIMD lanes,
+/// each row by the scalar per-row operation sequence, row groups split
 /// across OpenMP threads, so the result is independent of the thread
 /// count. Throws lrt::Error on a zero diagonal entry.
 void trsm_right_lower(Trans t, RealConstView l, RealView b);

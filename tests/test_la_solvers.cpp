@@ -1,6 +1,7 @@
 // Cholesky, LU, and least-squares solver tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -254,6 +255,83 @@ TEST(TrsmRightLower, RejectsSingularFactorAndBadShapes) {
   l(n - 2, n - 2) = 0.0;
   EXPECT_THROW(trsm_right_lower(Trans::kYes, l.view(), b.view()), Error);
   EXPECT_THROW(trsm_right_lower(Trans::kNo, l.view(), b.view()), Error);
+}
+
+/// The per-row scalar diagonal solve trsm_right_lower ran before it put
+/// rows in SIMD lanes, kept here as the bitwise oracle: b := b op(d)⁻¹,
+/// one row at a time, products and differences rounded separately.
+void scalar_diagonal_solve(Trans t, RealConstView d, RealView b) {
+  const Index nb = d.rows();
+  for (Index r = 0; r < b.rows(); ++r) {
+    Real* x = b.row_ptr(r);
+    if (t == Trans::kYes) {
+      // x dᵀ = b_r: x_j = (b_j - sum_{k<j} x_k d(j,k)) / d(j,j).
+      for (Index j = 0; j < nb; ++j) {
+        const Real* dj = d.row_ptr(j);
+        Real sum = x[j];
+        for (Index k = 0; k < j; ++k) sum -= x[k] * dj[k];
+        x[j] = sum / dj[j];
+      }
+    } else {
+      // x d = b_r: x_j = (b_j - sum_{k>j} x_k d(k,j)) / d(j,j).
+      for (Index j = nb - 1; j >= 0; --j) {
+        Real sum = x[j];
+        for (Index k = j + 1; k < nb; ++k) sum -= x[k] * d.row_ptr(k)[j];
+        x[j] = sum / d.row_ptr(j)[j];
+      }
+    }
+  }
+}
+
+/// trsm_right_lower's block schedule with the scalar diagonal solve.
+void scalar_diagonal_trsm(Trans t, RealConstView l, RealView b) {
+  const Index n = l.rows();
+  const Index nblocks = (n + kTrsmBlock - 1) / kTrsmBlock;
+  for (Index s = 0; s < nblocks; ++s) {
+    const Index blk = (t == Trans::kYes) ? s : nblocks - 1 - s;
+    const Index j0 = blk * kTrsmBlock;
+    const Index nb = std::min(kTrsmBlock, n - j0);
+    const Index j1 = j0 + nb;
+    const RealView bj = b.cols_block(j0, nb);
+    if (t == Trans::kYes && j0 > 0) {
+      gemm(Trans::kNo, Trans::kYes, Real{-1}, b.cols_block(0, j0),
+           l.block(j0, 0, nb, j0), Real{1}, bj);
+    } else if (t == Trans::kNo && j1 < n) {
+      gemm(Trans::kNo, Trans::kNo, Real{-1}, b.cols_block(j1, n - j1),
+           l.block(j1, j0, n - j1, nb), Real{1}, bj);
+    }
+    scalar_diagonal_solve(t, l.block(j0, j0, nb, nb), bj);
+  }
+}
+
+TEST(TrsmRightLower, DiagonalSolveBitwiseEqualsScalarRows) {
+  // Row counts off the lane width, widths inside one block and across
+  // several, and B as a window into a wider matrix.
+  Rng rng(17);
+  for (const Index n : {Index{1}, Index{5}, kTrsmBlock, kTrsmBlock + 3,
+                        Index{3} * kTrsmBlock}) {
+    const RealMatrix l = random_lower(n, rng);
+    for (const Index m : {Index{1}, Index{7}, Index{31}, Index{33},
+                          Index{100}, Index{1000}}) {
+      const RealMatrix b = RealMatrix::random_normal(m, n, rng);
+      for (const Trans t : {Trans::kYes, Trans::kNo}) {
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << n << " m=" << m
+                     << " op=" << (t == Trans::kYes ? "Lt" : "L"));
+        RealMatrix want = b;
+        scalar_diagonal_trsm(t, l.view(), want.view());
+        RealMatrix got = b;
+        trsm_right_lower(t, l.view(), got.view());
+        expect_bitwise_equal(got.view(), want.view());
+
+        RealMatrix store = RealMatrix::random_normal(m + 3, n + 5, rng);
+        const RealView window = store.view().block(2, 3, m, n);
+        copy<Real>(b.view(), window);
+        trsm_right_lower(t, l.view(), window);
+        expect_bitwise_equal(window, want.view());
+      }
+    }
+  }
 }
 
 TEST(Lstsq, SolveGramFromRightMatchesTransposedOracle) {

@@ -1,6 +1,8 @@
 // Hot-kernel performance layer exactness tests (docs/PERFORMANCE.md):
 //  - packed micro-kernel GEMM vs. a naive triple loop over odd shapes,
-//    all transpose combinations, strided views and aliased inputs;
+//    all transpose combinations, strided views and aliased inputs, and
+//    BITWISE vs. a kc-blocked oracle of the chosen kernel's roundings
+//    around every register tile in the tree, at 1 and 3 threads;
 //  - batched FFT (forward_many/inverse_many) vs. the per-line plan,
 //    asserted BITWISE, and the rewritten Fft3D vs. a copy of the old
 //    per-line algorithm, also bitwise;
@@ -8,8 +10,10 @@
 //    asserted bit-identical for the serial and distributed variants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <set>
 #include <vector>
 
 #ifdef _OPENMP
@@ -22,6 +26,7 @@
 #include "kmeans/kmeans.hpp"
 #include "la/blas.hpp"
 #include "obs/counters.hpp"
+#include "gemm_reference.hpp"
 #include "par/layout.hpp"
 
 namespace lrt {
@@ -94,14 +99,23 @@ TEST_P(PackedGemmSweep, AllTransposesMatchNaive) {
 }
 
 // Odd primes, micro-tile remainders, degenerate dims, and shapes big
-// enough to take the packed path (2mnk >= 2*24^3).
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, PackedGemmSweep,
-    ::testing::Values(PackedGemmCase{37, 53, 29}, PackedGemmCase{129, 65, 127},
-                      PackedGemmCase{64, 64, 64}, PackedGemmCase{6, 8, 300},
-                      PackedGemmCase{61, 7, 83}, PackedGemmCase{1, 1, 1},
-                      PackedGemmCase{1, 96, 96}, PackedGemmCase{96, 1, 96},
-                      PackedGemmCase{96, 96, 1}, PackedGemmCase{23, 24, 25}));
+// enough to take the packed path (2mnk >= 2*24^3); plus one exact tile
+// of every micro-kernel in the tree over a k past one kc pass.
+std::vector<PackedGemmCase> packed_gemm_shapes() {
+  std::vector<PackedGemmCase> shapes = {
+      {37, 53, 29}, {129, 65, 127}, {64, 64, 64}, {61, 7, 83}, {1, 1, 1},
+      {1, 96, 96},  {96, 1, 96},    {96, 96, 1},  {23, 24, 25}};
+  std::set<std::pair<Index, Index>> tiles;
+  for (const la::GemmKernel& kernel : la::gemm_kernels()) {
+    if (tiles.insert({kernel.mr, kernel.nr}).second) {
+      shapes.push_back({kernel.mr, kernel.nr, 300});
+    }
+  }
+  return shapes;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, PackedGemmSweep,
+                         ::testing::ValuesIn(packed_gemm_shapes()));
 
 TEST(PackedGemm, StridedViewsMatchNaive) {
   Rng rng(11);
@@ -132,6 +146,207 @@ TEST(PackedGemm, AliasedGramInputsMatchNaive) {
                  la::RealMatrix(45, 45));
   EXPECT_LE(la::max_abs_diff(c.view(), expected.view()),
             1e-13 * 90 * la::max_abs(expected.view()));
+}
+
+// ----- GEMM, bitwise against the kernel's rounding sequence ----------------
+
+/// What the packed path computes for C = alpha op(A) op(B) + beta C, one
+/// element at a time: beta applied first (0 clears, 1 keeps), then per
+/// kGemmKc pass a chain from 0 over (alpha * a) * b, fused on an FMA
+/// kernel and multiply-then-add otherwise, added to C once per pass.
+la::RealMatrix kc_blocked_oracle(la::Trans ta, la::Trans tb, Real alpha,
+                                 la::RealConstView a, la::RealConstView b,
+                                 Real beta, la::RealConstView c0, bool fma) {
+  const Index m = c0.rows(), n = c0.cols();
+  const Index k = (ta == la::Trans::kNo) ? a.cols() : a.rows();
+  la::RealMatrix c = la::to_matrix(c0);
+  for (Index i = 0; i < m; ++i) {
+    for (Index j = 0; j < n; ++j) {
+      Real cij = beta == Real{0} ? Real{0}
+                 : beta == Real{1} ? c(i, j)
+                                   : c(i, j) * beta;
+      for (Index p0 = 0; p0 < k; p0 += la::kGemmKc) {
+        Real acc = 0;
+        for (Index p = p0; p < std::min(k, p0 + la::kGemmKc); ++p) {
+          const Real av = alpha * ((ta == la::Trans::kNo) ? a(i, p) : a(p, i));
+          const Real bv = (tb == la::Trans::kNo) ? b(p, j) : b(j, p);
+          if (fma) {
+            acc = std::fma(av, bv, acc);
+          } else {
+            const Real prod = av * bv;
+            acc += prod;
+          }
+        }
+        cij += acc;
+      }
+      c(i, j) = cij;
+    }
+  }
+  return c;
+}
+
+/// Shapes around a tile dimension t of every kernel in the tree: 1, t-1,
+/// t, t+1 and 2t+1.
+std::vector<Index> tile_edges(bool rows) {
+  std::set<Index> edges;
+  for (const la::GemmKernel& kernel : la::gemm_kernels()) {
+    const Index t = rows ? kernel.mr : kernel.nr;
+    edges.insert({Index{1}, t - 1, t, t + 1, 2 * t + 1});
+  }
+  return {edges.begin(), edges.end()};
+}
+
+la::RealMatrix op_operand(la::Trans t, Index rows, Index cols, Rng& rng) {
+  return t == la::Trans::kNo ? la::RealMatrix::random_uniform(rows, cols, rng)
+                             : la::RealMatrix::random_uniform(cols, rows, rng);
+}
+
+/// Index of the first element where got and want differ in any bit, or
+/// -1 (NaN-free inputs, so == is a bit comparison up to the sign of 0).
+Index first_difference(la::RealConstView got, la::RealConstView want) {
+  for (Index i = 0; i < got.rows(); ++i) {
+    for (Index j = 0; j < got.cols(); ++j) {
+      if (std::signbit(got(i, j)) != std::signbit(want(i, j)) ||
+          got(i, j) != want(i, j)) {
+        return i * got.cols() + j;
+      }
+    }
+  }
+  return -1;
+}
+
+void set_omp_threads([[maybe_unused]] int threads) {
+#ifdef _OPENMP
+  omp_set_num_threads(threads);
+#endif
+}
+
+int omp_threads() {
+#ifdef _OPENMP
+  return omp_get_max_threads();
+#else
+  return 1;
+#endif
+}
+
+TEST(PackedGemmBitwise, MatchesKcBlockedOracleAroundEveryTile) {
+  const bool fma = la::gemm_kernel().fma;
+  // alpha = ±1 with op(B) at most two tiles wide reads A in place.
+  const Real alphas[] = {-0.75, 1.0, -1.0};
+  const Real betas[] = {0.0, 1.0, 1.5};
+  Rng rng(2027);
+  int case_id = 0;
+  for (const la::Trans ta : {la::Trans::kNo, la::Trans::kYes}) {
+    for (const la::Trans tb : {la::Trans::kNo, la::Trans::kYes}) {
+      for (const Index m : tile_edges(true)) {
+        for (const Index n : tile_edges(false)) {
+          for (const Index k : {1, 255, 256, 257, 513}) {
+            const Real alpha = alphas[(case_id / 3) % 3];
+            const Real beta = betas[case_id++ % 3];
+            const la::RealMatrix a = op_operand(ta, m, k, rng);
+            const la::RealMatrix b = op_operand(tb, k, n, rng);
+            const la::RealMatrix c = la::RealMatrix::random_uniform(m, n, rng);
+            const la::RealMatrix want = kc_blocked_oracle(
+                ta, tb, alpha, a.view(), b.view(), beta, c.view(), fma);
+            // gemm_many always packs; gemm packs from 2·24³ flops on.
+            la::RealMatrix got = c;
+            la::gemm_many(ta, tb, alpha, {{a.view(), got.view()}}, b.view(),
+                          beta);
+            ASSERT_EQ(first_difference(got.view(), want.view()), -1)
+                << "gemm_many m=" << m << " n=" << n << " k=" << k
+                << " ta=" << (ta == la::Trans::kYes)
+                << " tb=" << (tb == la::Trans::kYes) << " alpha=" << alpha
+                << " beta=" << beta;
+            if (la::gemm_flops(m, n, k) >= 2.0 * 24 * 24 * 24) {
+              got = c;
+              la::gemm(ta, tb, alpha, a.view(), b.view(), beta, got.view());
+              ASSERT_EQ(first_difference(got.view(), want.view()), -1)
+                  << "gemm m=" << m << " n=" << n << " k=" << k;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PackedGemmBitwise, StridedViewsMatchOracle) {
+  // One narrow op(B) with alpha = -1 (A read in place), one wide one.
+  const bool fma = la::gemm_kernel().fma;
+  const Index m = tile_edges(true).back(), k = 257;
+  Rng rng(2028);
+  for (const auto& [n, alpha] :
+       {std::pair<Index, Real>{la::gemm_kernel().nr, -1.0},
+        std::pair<Index, Real>{tile_edges(false).back(), 1.25}}) {
+    for (const la::Trans ta : {la::Trans::kNo, la::Trans::kYes}) {
+      for (const la::Trans tb : {la::Trans::kNo, la::Trans::kYes}) {
+        const la::RealMatrix a_store = op_operand(ta, m + 5, k + 7, rng);
+        const la::RealMatrix b_store = op_operand(tb, k + 3, n + 4, rng);
+        const la::RealConstView a =
+            ta == la::Trans::kNo ? a_store.view().block(2, 3, m, k)
+                                 : a_store.view().block(3, 2, k, m);
+        const la::RealConstView b =
+            tb == la::Trans::kNo ? b_store.view().block(1, 2, k, n)
+                                 : b_store.view().block(2, 1, n, k);
+        la::RealMatrix c_store =
+            la::RealMatrix::random_uniform(m + 4, n + 6, rng);
+        const la::RealView c = c_store.view().block(3, 5, m, n);
+        const la::RealMatrix want = kc_blocked_oracle(
+            ta, tb, alpha, a, b, 1.5, la::RealConstView(c), fma);
+        la::gemm(ta, tb, alpha, a, b, 1.5, c);
+        EXPECT_EQ(first_difference(c, want.view()), -1)
+            << "n=" << n << " ta=" << (ta == la::Trans::kYes)
+            << " tb=" << (tb == la::Trans::kYes);
+      }
+    }
+  }
+}
+
+TEST(PackedGemmBitwise, MixedBatchAndLargeGemmAtOneAndThreeThreads) {
+  // Items of mixed height, one past an mc block on any cache size, so
+  // the team splits the task list; plus a gemm big enough to thread.
+  // Both with a narrow op(B) and alpha = -1 (A read in place) and a wide
+  // one.
+  const la::GemmKernel& kernel = la::gemm_kernel();
+  const Index k = 300;
+  Rng rng(2029);
+  const int saved = omp_threads();
+  for (const auto& [n, alpha] :
+       {std::pair<Index, Real>{kernel.nr, -1.0},
+        std::pair<Index, Real>{2 * kernel.nr + 3, 0.5}}) {
+    const la::RealMatrix b = la::RealMatrix::random_uniform(n, k, rng);
+    std::vector<la::RealMatrix> as, cs;
+    for (const Index m : {Index{1}, kernel.mr, 2 * kernel.mr + 1, Index{1100}}) {
+      as.push_back(la::RealMatrix::random_uniform(m, k, rng));
+      cs.push_back(la::RealMatrix::random_uniform(m, n, rng));
+    }
+    for (const int threads : {1, 3}) {
+      set_omp_threads(threads);
+      std::vector<la::RealMatrix> got = cs;
+      std::vector<la::GemmBatchItem> items;
+      for (std::size_t i = 0; i < as.size(); ++i) {
+        items.push_back({as[i].view(), got[i].view()});
+      }
+      la::gemm_many(la::Trans::kNo, la::Trans::kYes, alpha, items, b.view(),
+                    1.5);
+      for (std::size_t i = 0; i < as.size(); ++i) {
+        const la::RealMatrix want = kc_blocked_oracle(
+            la::Trans::kNo, la::Trans::kYes, alpha, as[i].view(), b.view(),
+            1.5, cs[i].view(), kernel.fma);
+        EXPECT_EQ(first_difference(got[i].view(), want.view()), -1)
+            << "n=" << n << " threads=" << threads << " item " << i;
+      }
+      la::RealMatrix big = cs.back();
+      la::gemm(la::Trans::kNo, la::Trans::kYes, alpha, as.back().view(),
+               b.view(), 0.0, big.view());
+      const la::RealMatrix want = kc_blocked_oracle(
+          la::Trans::kNo, la::Trans::kYes, alpha, as.back().view(), b.view(),
+          0.0, cs.back().view(), kernel.fma);
+      EXPECT_EQ(first_difference(big.view(), want.view()), -1)
+          << "n=" << n << " threads=" << threads;
+    }
+  }
+  set_omp_threads(saved);
 }
 
 // ----- batched FFT ---------------------------------------------------------

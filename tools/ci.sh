@@ -22,10 +22,11 @@
 #               that flavor's tree when it exists.
 #   threads     the bit-identity suites (checkpoint resume, pruned vs
 #               exact kernels, communication-avoiding collectives,
-#               K-Means, the eigensolver oracle) at OMP_NUM_THREADS 1, 3
-#               and 4, each under ctest --repeat until-fail:20, so a
-#               result that depends on the OpenMP team size or on thread
-#               scheduling fails here. Shares the plain flavor's tree.
+#               K-Means, the eigensolver oracle, the Θ solve) at
+#               OMP_NUM_THREADS 1, 3 and 4, each under ctest --repeat
+#               until-fail:20, so a result that depends on the OpenMP
+#               team size or on thread scheduling fails here. Shares the
+#               plain flavor's tree.
 #
 # Usage: tools/ci.sh [plain|asan|tsan|lint|bench|fault|threads]...
 #        (default: all)
@@ -51,8 +52,9 @@ run_flavor() {
 fault_spec="seed=2026,fail=0.002,delay=0.002,delay_us=20"
 
 # Suites whose assertions are bitwise (EXPECT_EQ on doubles), run by
-# the threads flavor, plus the distributed eigensolver's bitwise test.
-bit_identity_suites='^(test_ft_restart|test_perf_kernels|test_comm_avoiding|test_kmeans|test_la_eig)\.|^test_par_dist\..*DistSyevBitwiseEqualsSerial'
+# the threads flavor, plus the distributed eigensolver's and the
+# triangular (Θ) solve's bitwise tests.
+bit_identity_suites='^(test_ft_restart|test_perf_kernels|test_comm_avoiding|test_kmeans|test_la_eig)\.|^test_par_dist\..*DistSyevBitwiseEqualsSerial|^test_la_solvers\..*Bitwise'
 
 do_lint=0 do_plain=0 do_asan=0 do_tsan=0 do_bench=0 do_fault=0 do_threads=0
 if [ "$#" -eq 0 ]; then
