@@ -4,6 +4,10 @@
 // and reciprocal space on the simulation grid; Fft3D caches one 1-D plan
 // per axis and reuses gather buffers. Element (i0, i1, i2) lives at flat
 // index (i0 * n1 + i1) * n2 + i2.
+//
+// Called inside an active OpenMP team (the kernel's loop over column
+// pairs), a transform runs on the calling thread alone and records no
+// spans: team threads carry no rank, and the caller's span covers them.
 #pragma once
 
 #include <array>
@@ -27,10 +31,11 @@ class Fft3D {
   void inverse(Complex* x) const;
 
   /// Real-array conveniences: forward copies `real_in` into the complex
-  /// work array; inverse_real discards the (numerically zero) imaginary
-  /// part of the result.
+  /// work array; inverse_real transforms `x` in place (its spectrum is
+  /// consumed) and writes the real part, discarding the (numerically
+  /// zero) imaginary part.
   void forward(const Real* real_in, Complex* out) const;
-  void inverse_real(const Complex* in, Real* real_out) const;
+  void inverse_real(Complex* x, Real* real_out) const;
 
  private:
   void transform(Complex* x, bool inverse) const;

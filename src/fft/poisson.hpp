@@ -16,18 +16,17 @@ namespace lrt::fft {
 class PoissonSolver {
  public:
   /// `g2` holds |G|² for every grid point in FFT layout; g2[0] must be the
-  /// G = 0 entry (it is ignored). Keeps a reference-free copy.
-  PoissonSolver(Fft3D fft, std::vector<Real> g2);
+  /// G = 0 entry (it is ignored). Only the kernel table 4π/|G|² is kept.
+  PoissonSolver(Fft3D fft, const std::vector<Real>& g2);
 
   Index size() const { return fft_.size(); }
   const Fft3D& fft() const { return fft_; }
-  const std::vector<Real>& g2() const { return g2_; }
 
   /// Computes v_H from density in place on real arrays.
   void solve(const Real* density, Real* potential) const;
 
   /// Applies the Hartree kernel to an already-transformed density:
-  /// rho_g[i] *= 4π/g2[i] (G = 0 zeroed).
+  /// rho_g[i] *= 4π/g2[i] (G = 0, and any g2 <= 0, zeroed).
   void apply_kernel_g(Complex* rho_g) const;
 
   /// Hartree energy  E_H = ½ ∫ n v_H  given both arrays and the volume
@@ -36,7 +35,7 @@ class PoissonSolver {
 
  private:
   Fft3D fft_;
-  std::vector<Real> g2_;
+  std::vector<Real> kernel_;  ///< 4π/g2, 0 where g2 <= 0 and at G = 0
 };
 
 }  // namespace lrt::fft

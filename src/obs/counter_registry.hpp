@@ -28,6 +28,7 @@ inline constexpr const char* kFftFft3dCalls = "fft.fft3d.calls";  // 3-D transfo
 inline constexpr const char* kFftFft3dPoints = "fft.fft3d.points";  // grid points transformed
 inline constexpr const char* kFftFft1dBatches = "fft.fft1d.batches";  // batched 1-D plan executions
 inline constexpr const char* kFftFft1dLines = "fft.fft1d.lines";  // 1-D lines transformed
+inline constexpr const char* kFftFft1dBluesteinLines = "fft.fft1d.bluestein_lines";  // 1-D lines of a length with a prime factor above 7 (Bluestein path)
 inline constexpr const char* kParDistLobpcgIterations = "par.dist_lobpcg.iterations";  // distributed LOBPCG outer iterations
 inline constexpr const char* kFtInjectQueries = "ft.inject.queries";  // fault-plan draw sites reached (sends + collectives)
 inline constexpr const char* kFtInjectSendFail = "ft.inject.send_fail";  // transient send failures injected
@@ -72,6 +73,7 @@ inline constexpr const char* kAll[] = {
     kFftFft3dPoints,
     kFftFft1dBatches,
     kFftFft1dLines,
+    kFftFft1dBluesteinLines,
     kParDistLobpcgIterations,
     kFtInjectQueries,
     kFtInjectSendFail,

@@ -27,13 +27,10 @@ void DistFft3D::transform(fft::Complex* x, bool inverse) const {
     } else {
       plan2_.forward_many(x, count0_ * n1, /*stride=*/1, /*dist=*/n2);
     }
-    for (Index i0 = 0; i0 < count0_; ++i0) {
-      fft::Complex* slab = x + i0 * n1 * n2;
-      if (inverse) {
-        plan1_.inverse_many(slab, n2, /*stride=*/n2, /*dist=*/1);
-      } else {
-        plan1_.forward_many(slab, n2, /*stride=*/n2, /*dist=*/1);
-      }
+    if (inverse) {
+      plan1_.inverse_many(x, n2, /*stride=*/n2, /*dist=*/1, count0_, n1 * n2);
+    } else {
+      plan1_.forward_many(x, n2, /*stride=*/n2, /*dist=*/1, count0_, n1 * n2);
     }
   }
 

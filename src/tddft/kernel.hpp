@@ -3,10 +3,13 @@
 //   f_Hxc(r, r') = 1/|r - r'|  +  δV_xc[n](r)/δn(r')
 //                = Hartree     +  ALDA: f_xc(n(r)) δ(r - r')
 //
-// Applied to pair densities / interpolation vectors column by column:
-// the Hartree piece through the reciprocal-space Poisson kernel 4π/G²
-// (one forward + one inverse FFT per column — the "FFT" phase of the
-// paper's Figure 8), the ALDA piece as a diagonal real-space multiply.
+// Applied to pair densities / interpolation vectors: the Hartree piece
+// through the reciprocal-space Poisson kernel 4π/G² (the "FFT" phase of
+// the paper's Figure 8), the ALDA piece as a diagonal real-space
+// multiply. 4π/|G|² is real and even in G (g2(G) == g2(-G) bitwise), so
+// the Hartree operator maps real columns to real columns and
+//   v_H[f_j + i f_{j+1}] = v_H[f_j] + i v_H[f_{j+1}]:
+// one forward + one inverse complex FFT serves two real columns.
 #pragma once
 
 #include <vector>
@@ -31,8 +34,11 @@ class HxcKernel {
   Real dv() const { return dv_; }
   const std::vector<Real>& fxc() const { return fxc_; }
 
-  /// out(:, j) = (v_H + f_xc) f(:, j) for every column. `profiler`
-  /// receives the "fft" phase.
+  /// out(:, j) = (v_H + f_xc) f(:, j) for every column, two columns per
+  /// complex transform (an odd last column alone). Threads over column
+  /// pairs with OpenMP unless already inside a parallel region; each
+  /// pair's result depends only on its two columns, so the output does
+  /// not depend on the thread count. `profiler` receives the "fft" phase.
   void apply(la::RealConstView f, la::RealView out,
              obs::WallProfiler* profiler = nullptr) const;
 

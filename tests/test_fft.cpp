@@ -1,26 +1,20 @@
 // FFT tests: delta/plane-wave closed forms, round trips, Parseval,
-// linearity, power-of-two and Bluestein paths, 3-D transforms.
+// linearity, mixed-radix and Bluestein paths against a direct DFT,
+// 3-D transforms, and the Bluestein line counter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "fft/fft3d.hpp"
+#include "obs/counters.hpp"
 
 namespace lrt::fft {
 namespace {
 
 using constants::kTwoPi;
-
-TEST(Fft1D, PowerOfTwoDetection) {
-  EXPECT_TRUE(is_power_of_two(1));
-  EXPECT_TRUE(is_power_of_two(64));
-  EXPECT_FALSE(is_power_of_two(0));
-  EXPECT_FALSE(is_power_of_two(96));
-  EXPECT_EQ(next_power_of_two(17), 32);
-  EXPECT_EQ(next_power_of_two(1), 1);
-}
 
 TEST(Fft1D, DeltaTransformsToConstant) {
   for (const Index n : {8, 12, 17, 104}) {
@@ -72,11 +66,90 @@ TEST_P(FftRoundTrip, InverseOfForwardIsIdentity) {
   }
 }
 
-// Mix of radix-2 sizes and Bluestein sizes, including the paper's
+// Mix of radix sizes and Bluestein sizes, including the paper's
 // non-power-of-two grid dimensions 104 and 166.
 INSTANTIATE_TEST_SUITE_P(Sizes, FftRoundTrip,
                          ::testing::Values<Index>(1, 2, 4, 8, 64, 3, 5, 7, 12,
                                                   17, 104, 166, 1000));
+
+/// max_k |X_k - DFT(x)_k| / max_k |DFT(x)_k|, with the direct O(n²) DFT
+/// summed in long double (inverse: normalized by 1/n).
+Real dft_error(Index n, bool inverse) {
+  lrt::Rng rng(static_cast<unsigned>(n * 2 + (inverse ? 1 : 0)));
+  std::vector<Complex> x(static_cast<std::size_t>(n));
+  for (auto& v : x) v = Complex(rng.normal(), rng.normal());
+  std::vector<Complex> got = x;
+  const Fft1D plan(n);
+  if (inverse) {
+    plan.inverse(got.data());
+  } else {
+    plan.forward(got.data());
+  }
+  const long double sign = inverse ? 1.0L : -1.0L;
+  const long double two_pi = 6.283185307179586476925286766559L;
+  Real err = 0, scale = 0;
+  for (Index k = 0; k < n; ++k) {
+    long double re = 0, im = 0;
+    for (Index j = 0; j < n; ++j) {
+      const long double a = sign * two_pi *
+                            static_cast<long double>((j * k) % n) /
+                            static_cast<long double>(n);
+      const long double c = std::cos(a), s = std::sin(a);
+      const Complex v = x[static_cast<std::size_t>(j)];
+      re += v.real() * c - v.imag() * s;
+      im += v.real() * s + v.imag() * c;
+    }
+    if (inverse) {
+      re /= static_cast<long double>(n);
+      im /= static_cast<long double>(n);
+    }
+    const Complex want(static_cast<Real>(re), static_cast<Real>(im));
+    err = std::max(err, std::abs(got[static_cast<std::size_t>(k)] - want));
+    scale = std::max(scale, std::abs(want));
+  }
+  return err / scale;
+}
+
+// {2, 3, 5, 7}-smooth lengths run as radix passes. The bound is about
+// 5 ulp; the measured worst case over these sizes is 6e-16
+// (docs/PERFORMANCE.md §2).
+TEST(Fft1D, MixedRadixMatchesDirectDft) {
+  for (const Index n : {3, 5, 6, 7, 9, 10, 12, 14, 15, 21, 35, 49, 60}) {
+    EXPECT_LE(dft_error(n, false), 1e-15) << "forward n=" << n;
+    EXPECT_LE(dft_error(n, true), 1e-15) << "inverse n=" << n;
+  }
+}
+
+// Lengths with a prime factor above 7 keep Bluestein, whose chirp
+// products and padded convolution cost accuracy: the bound is 3x the
+// radix one (measured worst case 9e-16).
+TEST(Fft1D, BluesteinMatchesDirectDft) {
+  for (const Index n : {11, 13, 26, 104}) {
+    EXPECT_LE(dft_error(n, false), 3e-15) << "forward n=" << n;
+    EXPECT_LE(dft_error(n, true), 3e-15) << "inverse n=" << n;
+  }
+}
+
+// fft.fft1d.bluestein_lines counts the lines that take the Bluestein
+// path, so "no Bluestein at the benchmark grids" is a checked fact.
+TEST(Fft1D, BluesteinLinesCounterSeesOnlyLargePrimeFactors) {
+  obs::Counter& bluestein = obs::counter("fft.fft1d.bluestein_lines");
+  for (const Index n : {14, 16}) {
+    const Fft3D fft(n, n, n);
+    std::vector<Complex> x(static_cast<std::size_t>(fft.size()),
+                           Complex{1, 2});
+    const long long before = bluestein.value();
+    fft.forward(x.data());
+    fft.inverse(x.data());
+    EXPECT_EQ(bluestein.value() - before, 0) << n << "^3 round trip";
+  }
+  const Index count = 37;
+  std::vector<Complex> lines(static_cast<std::size_t>(13 * count),
+                             Complex{1, 0});
+  const long long before = bluestein.value();
+  Fft1D(13).forward_many(lines.data(), count, 1, 13);
+  EXPECT_EQ(bluestein.value() - before, count);
+}
 
 TEST(Fft1D, ParsevalHolds) {
   const Index n = 60;

@@ -52,9 +52,9 @@ run_flavor() {
 fault_spec="seed=2026,fail=0.002,delay=0.002,delay_us=20"
 
 # Suites whose assertions are bitwise (EXPECT_EQ on doubles), run by
-# the threads flavor, plus the distributed eigensolver's and the
-# triangular (Θ) solve's bitwise tests.
-bit_identity_suites='^(test_ft_restart|test_perf_kernels|test_comm_avoiding|test_kmeans|test_la_eig)\.|^test_par_dist\..*DistSyevBitwiseEqualsSerial|^test_la_solvers\..*Bitwise'
+# the threads flavor, plus the distributed eigensolver's, the
+# triangular (Θ) solve's and the paired Hxc kernel's bitwise tests.
+bit_identity_suites='^(test_ft_restart|test_perf_kernels|test_comm_avoiding|test_kmeans|test_la_eig)\.|^test_par_dist\..*DistSyevBitwiseEqualsSerial|^test_la_solvers\..*Bitwise|^test_tddft_kernel\..*Bitwise'
 
 do_lint=0 do_plain=0 do_asan=0 do_tsan=0 do_bench=0 do_fault=0 do_threads=0
 if [ "$#" -eq 0 ]; then
